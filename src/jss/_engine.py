@@ -1,207 +1,139 @@
-"""Integer-pair rational kernel for enumeration-heavy loops (internal).
+"""Division-free (H, L) mass kernel for every order walk (internal).
 
-Beliefs, survival probabilities and running values are carried as reduced
-(numerator, denominator) int pairs and compared by cross-multiplication,
-which is several times faster than Fraction objects inside permutation
-walks.  model.evaluate() stays the readable reference implementation;
-tests pin the two against each other exactly.
+A submission order acts on the unnormalized mass (h, l) = P(reach and
+high), P(reach and low).  A rejection at a journal maps it linearly,
+
+    h' = (1 - a) h + q l,    l' = (1 - q) l,
+
+and the period before it pays u a h - c (h + l).  An order's value is the
+sum of those gains plus outside * (h + l) after its last journal.  Beliefs
+h / (h + l) never appear, so there is no zero-denominator rule: a state
+behind a sure acceptance simply carries zero mass.
+
+Exact mode runs on Python ints.  Each journal's rates share the
+denominator d = lcm(den a, den q), so a = A/d and q = Q/d, and payoffs,
+costs and the outside option share one denominator E.  One step is
+
+    H' = (d - A) H + Q L,   L' = (d - Q) L,   V' = d V + U A H - C d (H + L).
+
+Every complete order multiplies by each journal's d exactly once, so all
+leaf totals V + O (H + L) share one denominator, E * den(prior) * prod(d),
+and compare as plain ints: exact ties are int equality.  Float mode runs
+the same step with d = 1 and float coefficients.
+
+model.evaluate stays the readable Bayes-form reference; tests pin
+order_value and both walkers against it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import lcm
 
 
-def reduce_pair(n: int, d: int) -> tuple[int, int]:
-    if d < 0:
-        n, d = -n, -d
-    g = gcd(n, d)
-    if g > 1:
-        return n // g, d // g
-    return n, d
-
-
-def compare_pairs(n1: int, d1: int, n2: int, d2: int) -> int:
-    """Sign of n1/d1 - n2/d2; denominators must be positive."""
-    lhs = n1 * d2
-    rhs = n2 * d1
-    if lhs > rhs:
-        return 1
-    if lhs < rhs:
-        return -1
-    return 0
-
-
-class BoxArith:
-    """Per-journal integer coefficients for the belief/value recursions.
-
-    With belief b = bn/bd:
-      posterior   f(b) = (fn1*bn + fn2*bd) / (fd*(ad*bd - an*bn))
-      rejection   1 - a*b = (ad*bd - an*bn) / (ad*bd)
-      period gain w*b - c with w = u*a
-    """
-
-    __slots__ = ("an", "ad", "fn1", "fn2", "fd", "wn", "wd", "cn", "cd")
-
-    def __init__(self, journal):
-        a = Fraction(journal.a)
-        q = Fraction(journal.q)
-        self.an, self.ad = a.numerator, a.denominator
-        qn, qd = q.numerator, q.denominator
-        self.fn1 = self.ad * qd - self.an * qd - qn * self.ad
-        self.fn2 = qn * self.ad
-        self.fd = qd
-        w = Fraction(journal.u) * a
-        self.wn, self.wd = w.numerator, w.denominator
-        c = Fraction(journal.c)
-        self.cn, self.cd = c.numerator, c.denominator
-
+# A box is the tuple (d, d - A, Q, d - Q, U A, C d) that step() reads;
+# d = 1 in float mode.
 
 def prepare(inst):
-    """(boxes, prior pair, outside pair) for the instance's sorted journals."""
-    boxes = [BoxArith(j) for j in inst.journals]
+    """Exact kernel inputs (boxes, prior mass, outside) for the instance's
+    sorted journals.  outside is (O, finish): finish turns a complete
+    order's total V + O (H + L) into its Fraction value."""
+    js = inst.journals
+    outside = inst.outside_option
+    e = lcm(outside.denominator, *(x.denominator for j in js for x in (j.u, j.c)))
     prior = Fraction(inst.prior.mu_h)
-    out = Fraction(inst.outside_option)
-    return boxes, (prior.numerator, prior.denominator), (out.numerator, out.denominator)
+    scale = e * prior.denominator
+    boxes = []
+    for j in js:
+        d = lcm(j.a.denominator, j.q.denominator)
+        A, Q = int(j.a * d), int(j.q * d)
+        boxes.append((d, d - A, Q, d - Q, int(j.u * e) * A, int(j.c * e) * d))
+        scale *= d
+    mass = (prior.numerator, prior.denominator - prior.numerator)
+    return boxes, mass, (int(outside * e), partial(Fraction, denominator=scale))
 
 
-def belief_step(box: BoxArith, bn: int, bd: int) -> tuple[int, int]:
-    """Posterior belief pair after a rejection at `box`."""
-    s = box.ad * bd - box.an * bn
-    if s == 0:
-        return 1, 1
-    return reduce_pair(box.fn1 * bn + box.fn2 * bd, box.fd * s)
+def prepare_float(inst):
+    """Float twin of prepare(): d = 1 and float coefficients."""
+    boxes = []
+    for j in inst.journals:
+        u, a, q, c = float(j.u), float(j.a), float(j.q), float(j.c)
+        boxes.append((1, 1 - a, q, 1 - q, u * a, c))
+    mu = float(inst.prior.mu_h)
+    return boxes, (mu, 1 - mu), (float(inst.outside_option), float)
 
 
-def survival_step(box: BoxArith, bn: int, bd: int, rn: int, rd: int) -> tuple[int, int]:
-    """Survival pair multiplied by the rejection probability at `box`."""
-    return reduce_pair(rn * (box.ad * bd - box.an * bn), rd * box.ad * bd)
+def step(box, h, l, v):
+    """Mass rejected at `box` and running value with its period's gain."""
+    d, da, q, dq, ua, cd = box
+    return da * h + q * l, dq * l, d * v + ua * h - cd * (h + l)
 
 
-def order_value(boxes, perm, prior_pair, outside_pair) -> Fraction:
-    """Exact expected payoff of one submission order."""
-    bn, bd = prior_pair
-    rn, rd = 1, 1
-    vn, vd = 0, 1
+def order_value(boxes, perm, prior, outside):
+    """Expected payoff of one complete order: a Fraction with the inputs
+    of prepare(), a float with those of prepare_float()."""
+    h, l = prior
+    v = 0
     for i in perm:
-        box = boxes[i]
-        tn = rn * (box.wn * bn * box.cd - box.cn * box.wd * bd)
-        td = rd * box.wd * bd * box.cd
-        vn, vd = reduce_pair(vn * td + tn * vd, vd * td)
-        s = box.ad * bd - box.an * bn
-        rn, rd = reduce_pair(rn * s, rd * box.ad * bd)
-        if s == 0:
-            bn, bd = 1, 1
-        else:
-            bn, bd = reduce_pair(box.fn1 * bn + box.fn2 * bd, box.fd * s)
-    on, od = outside_pair
-    return Fraction(vn * rd * od + rn * on * vd, vd * rd * od)
+        h, l, v = step(boxes[i], h, l, v)
+    o, finish = outside
+    return finish(v + o * (h + l))
+
+
+def tie_slack(best, tol):
+    """How far below `best` a value may fall and still tie with it:
+    tol relative to max(1, |best|), and 0 (exact equality) when tol is 0."""
+    return tol * max(1.0, abs(best)) if tol else 0
 
 
 def best_orders(inst, first: int | None = None):
     """Exhaustive exact optimum over the permutation tree.
 
-    Shared prefixes are walked once (about e * I! states instead of
-    I * I!).  Returns (best value as Fraction, argmax perms in
-    lexicographic order).  `first` pins the first submission, which is
-    how the parallel driver slices the tree.
+    Returns (best value as Fraction, argmax perms in lexicographic
+    order).  `first` pins the first submission, which is how the
+    parallel driver slices the tree.
     """
-    boxes, (pn, pd), (on, od) = prepare(inst)
-    n = len(boxes)
-    best: list = [None, 1]
-    argmax: list = []
-    perm: list = []
-
-    def step(i, bn, bd, rn, rd, vn, vd):
-        box = boxes[i]
-        tn = rn * (box.wn * bn * box.cd - box.cn * box.wd * bd)
-        td = rd * box.wd * bd * box.cd
-        nvn, nvd = reduce_pair(vn * td + tn * vd, vd * td)
-        s = box.ad * bd - box.an * bn
-        nrn, nrd = reduce_pair(rn * s, rd * box.ad * bd)
-        if s == 0:
-            nbn, nbd = 1, 1
-        else:
-            nbn, nbd = reduce_pair(box.fn1 * bn + box.fn2 * bd, box.fd * s)
-        return nbn, nbd, nrn, nrd, nvn, nvd
-
-    def walk(used, bn, bd, rn, rd, vn, vd):
-        if len(perm) == n:
-            tn = vn * rd * od + rn * on * vd
-            td = vd * rd * od
-            if best[0] is None:
-                best[0], best[1] = reduce_pair(tn, td)
-                argmax.append(tuple(perm))
-                return
-            cmp = compare_pairs(tn, td, best[0], best[1])
-            if cmp > 0:
-                best[0], best[1] = reduce_pair(tn, td)
-                argmax.clear()
-                argmax.append(tuple(perm))
-            elif cmp == 0:
-                argmax.append(tuple(perm))
-            return
-        for i in range(n):
-            if used >> i & 1:
-                continue
-            perm.append(i)
-            walk(used | (1 << i), *step(i, bn, bd, rn, rd, vn, vd))
-            perm.pop()
-
-    if first is None:
-        walk(0, pn, pd, 1, 1, 0, 1)
-    else:
-        perm.append(first)
-        walk(1 << first, *step(first, pn, pd, 1, 1, 0, 1))
-        perm.pop()
-    return Fraction(best[0], best[1]), argmax
+    return _walk(prepare(inst), first, 0)
 
 
 def best_orders_float(inst, first: int | None = None, tol: float = 1e-12):
-    """Float twin of best_orders; ties are values within tol of the best."""
-    js = [(float(j.u), float(j.a), float(j.q), float(j.c)) for j in inst.journals]
-    n = len(js)
-    prior = float(inst.prior.mu_h)
-    outside = float(inst.outside_option)
-    state = {"best": None}
-    candidates: list = []
+    """Float twin of best_orders; ties are values within tie_slack of the best."""
+    return _walk(prepare_float(inst), first, tol)
+
+
+def _walk(kernel, first, tol):
+    """Walk every order once per shared prefix (about e * I! steps instead
+    of I * I!) and keep the totals that tie with the best."""
+    boxes, (h0, l0), (o, finish) = kernel
+    n = len(boxes)
+    full = (1 << n) - 1
+    free = [[i for i in range(n) if not used >> i & 1] for used in range(full + 1)]
+    top = [None, 0]     # best total so far and its tie slack
+    found: list = []    # (perm, total) pairs within the slack of the best
     perm: list = []
 
-    def walk(used, mu, r, v):
-        if len(perm) == n:
-            total = v + r * outside
-            best = state["best"]
-            slack = tol * max(1.0, abs(total if best is None else best))
-            if best is None or total > best + slack:
-                state["best"] = total
-                keep = total - tol * max(1.0, abs(total))
-                candidates[:] = [(p, t) for p, t in candidates if t >= keep]
-                candidates.append((tuple(perm), total))
-            elif total >= best - slack:
-                candidates.append((tuple(perm), total))
+    def leaf(total):
+        best, slack = top
+        if best is None or total > best + slack:
+            top[:] = total, tie_slack(total, tol)
+            found[:] = [(p, t) for p, t in found if t >= total - top[1]]
+            found.append((tuple(perm), total))
+        elif total >= best - slack:
+            found.append((tuple(perm), total))
+
+    def walk(used, h, l, v):
+        if used == full:
+            leaf(v + o * (h + l))
             return
-        for i in range(n):
-            if used >> i & 1:
-                continue
-            u, a, q, c = js[i]
-            hit = a * mu
-            nv = v + r * (u * hit - c)
-            nr = r * (1 - hit)
-            nmu = 1.0 if 1 - hit == 0 else ((1 - a - q) * mu + q) / (1 - hit)
+        for i in free[used]:
             perm.append(i)
-            walk(used | (1 << i), nmu, nr, nv)
+            walk(used | 1 << i, *step(boxes[i], h, l, v))
             perm.pop()
 
     if first is None:
-        walk(0, prior, 1.0, 0.0)
+        walk(0, h0, l0, 0)
     else:
-        u, a, q, c = js[first]
-        hit = a * prior
-        mu2 = 1.0 if 1 - hit == 0 else ((1 - a - q) * prior + q) / (1 - hit)
         perm.append(first)
-        walk(1 << first, mu2, 1.0 - hit, u * hit - c)
-        perm.pop()
-    best = state["best"]
-    slack = tol * max(1.0, abs(best))
-    argmax = sorted(p for p, t in candidates if t >= best - slack)
-    return best, argmax
+        walk(1 << first, *step(boxes[first], h0, l0, 0))
+    best, slack = top
+    return finish(best), sorted(p for p, t in found if t >= best - slack)

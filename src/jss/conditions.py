@@ -238,7 +238,7 @@ def check_globally_bounded_weak_feedback(
         raise ConditionError(
             f"{n} journals means sum(n!/(n-k)!) prefixes; cap is {max_size}"
         )
-    boxes, (pn, pd), _ = _engine.prepare(inst)
+    boxes, (h0, l0), _ = _engine.prepare(inst)
     thresholds = [feedback_threshold(j) for j in inst.journals]
     names = inst.journal_names()
     global_floor = (thresholds[0] if policy == "box1"
@@ -248,38 +248,39 @@ def check_globally_bounded_weak_feedback(
     best = {"margin": None, "belief": None, "prefix": None, "floor": None}
     violations = []
 
-    def note(bn, bd, prefix, floor):
-        margin = Fraction(bn, bd) - floor
+    def note(belief, prefix, floor):
+        margin = belief - floor
         if best["margin"] is None or margin < best["margin"]:
-            best.update(margin=margin, belief=Fraction(bn, bd),
+            best.update(margin=margin, belief=belief,
                         prefix=tuple(names[i] for i in prefix), floor=floor)
         if margin < 0 and len(violations) < 5:
             violations.append({
                 "prefix": tuple(names[i] for i in prefix),
-                "belief": Fraction(bn, bd),
+                "belief": belief,
                 "floor": floor,
             })
 
     prefix: list = []
 
-    def walk(used, bn, bd):
+    def walk(used, h, l):
         if policy == "per_remaining":
             floor = max((thresholds[i] for i in range(n) if not used >> i & 1),
                         default=Fraction(0))
         else:
             floor = global_floor
-        note(bn, bd, prefix, floor)
+        # behind a sure acceptance the mass is zero; its belief reads as 1
+        note(Fraction(h, h + l) if h + l else Fraction(1), prefix, floor)
         if len(prefix) == n - 1:
             return
         for i in range(n):
             if used >> i & 1:
                 continue
-            nbn, nbd = _engine.belief_step(boxes[i], bn, bd)
+            nh, nl, _ = _engine.step(boxes[i], h, l, 0)
             prefix.append(i)
-            walk(used | (1 << i), nbn, nbd)
+            walk(used | (1 << i), nh, nl)
             prefix.pop()
 
-    walk(0, pn, pd)
+    walk(0, h0, l0)
     return ConditionReport(
         condition="globally_bounded_weak_feedback",
         passed=best["margin"] >= 0,

@@ -80,21 +80,13 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
         raise SolverError(f"mode must be 'exact' or 'float', got {mode!r}")
 
     if threads > 1 and n >= 2:
-        chunks = [(inst, mode, first) for first in range(n)]
         with ProcessPoolExecutor(max_workers=min(threads, n)) as pool:
-            results = list(pool.map(_chunk_worker, chunks))
-        if mode == "exact":
-            best = max(v for v, _ in results)
-            argmax = sorted(p for v, perms in results if v == best for p in perms)
-        else:
-            best = max(v for v, _ in results)
-            slack = FLOAT_TIE_TOL * max(1.0, abs(best))
-            argmax = sorted(p for v, perms in results if v >= best - slack
-                            for p in perms)
-    elif mode == "exact":
-        best, argmax = _engine.best_orders(inst)
+            results = list(pool.map(_search, [inst] * n, [mode] * n, range(n)))
+        best = max(v for v, _ in results)
+        slack = _engine.tie_slack(best, _tie_tol(mode))
+        argmax = sorted(p for v, perms in results if v >= best - slack for p in perms)
     else:
-        best, argmax = _engine.best_orders_float(inst, tol=FLOAT_TIE_TOL)
+        best, argmax = _search(inst, mode)
 
     orders = tuple(SearchOrder(p) for p in argmax)
     return SolveResult(
@@ -106,11 +98,17 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     )
 
 
-def _chunk_worker(args):
-    inst, mode, first = args
+def _search(inst: Instance, mode: str, first: Optional[int] = None):
+    """(best value, argmax perms) over all orders, or over those that
+    start with `first`."""
     if mode == "exact":
         return _engine.best_orders(inst, first=first)
     return _engine.best_orders_float(inst, first=first, tol=FLOAT_TIE_TOL)
+
+
+def _tie_tol(mode: str):
+    """Tie tolerance of a mode: exact values tie only when equal."""
+    return 0 if mode == "exact" else FLOAT_TIE_TOL
 
 
 def _falling_factorial_total(n: int) -> int:
@@ -180,7 +178,7 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     """Optimum by dynamic programming over rejection sets (2^I states).
 
     Sound only when belief updates commute (a_i q_j = a_j q_i for all
-    pairs): then the belief after any set of rejections is order-free and
+    pairs): then the mass reaching any set of rejections is order-free and
     the set is a sufficient state.  Raises SolverError otherwise.
     """
     report = check_order_independence(inst)
@@ -193,53 +191,40 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     if mode not in ("exact", "float"):
         raise SolverError(f"mode must be 'exact' or 'float', got {mode!r}")
     n = inst.size
-    boxes, prior_pair, _ = _engine.prepare(inst)
-    exact = mode == "exact"
-
-    beliefs = [None] * (1 << n)
-    beliefs[0] = prior_pair
-    # unnormalized (high-mass, low-mass) reaching each rejection set; the
-    # commuting updates make both tables order-free
-    mu0 = inst.prior.mu_h if exact else float(inst.prior.mu_h)
-    mass = [None] * (1 << n)
-    mass[0] = (mu0, 1 - mu0)
-    js = inst.journals
-    for s in range(1, 1 << n):
-        low = (s & -s).bit_length() - 1
-        bn, bd = beliefs[s ^ (1 << low)]
-        beliefs[s] = _engine.belief_step(boxes[low], bn, bd)
-        h, l = mass[s ^ (1 << low)]
-        a, q = js[low].a, js[low].q
-        if not exact:
-            a, q = float(a), float(q)
-        mass[s] = ((1 - a) * h + q * l, (1 - q) * l)
-
-    outside = inst.outside_option if exact else float(inst.outside_option)
     full = (1 << n) - 1
-    value = [None] * (1 << n)
-    best_moves: list = [()] * (1 << n)
-    value[full] = outside
+    prepare = _engine.prepare if mode == "exact" else _engine.prepare_float
+    boxes, prior, (o, finish) = prepare(inst)
+    tol = _tie_tol(mode)
+
+    # (H, L) mass reaching each rejection set; the commuting updates make
+    # it order-free
+    mass = [None] * (full + 1)
+    mass[0] = prior
+    for s in range(1, full + 1):
+        low = (s & -s).bit_length() - 1
+        mass[s] = _engine.step(boxes[low], *mass[s ^ 1 << low], 0)[:2]
+
+    # value[s] is the payoff still to come from s, weighted by the mass
+    # reaching s, over the denominator all complete orders share: a gain
+    # made on the way to t lacks the d of every journal outside t, which
+    # rest[t] supplies.  A state reached with probability zero is worth
+    # zero whatever follows, so all its moves tie.
+    rest = [1] * (full + 1)
+    for t in range(full - 1, -1, -1):
+        j = (~t & (t + 1)).bit_length() - 1
+        rest[t] = rest[t | 1 << j] * boxes[j][0]
+    h, l = mass[full]
+    value = [None] * (full + 1)
+    value[full] = o * (h + l)
+    best_moves: list = [()] * (full + 1)
     for s in range(full - 1, -1, -1):
-        bn, bd = beliefs[s]
-        mu = Fraction(bn, bd) if exact else bn / bd
-        best_v = None
-        moves = []
-        remaining = [i for i in range(n) if not s >> i & 1]
-        for i in remaining:
-            u, a, c = js[i].u, js[i].a, js[i].c
-            if not exact:
-                u, a, c = float(u), float(a), float(c)
-            hit = a * mu
-            v = u * hit - c + (1 - hit) * value[s | 1 << i]
-            if best_v is None or v > best_v:
-                best_v, moves = v, [i]
-            elif v == best_v:
-                moves.append(i)
-        value[s] = best_v
         h, l = mass[s]
-        # a state reached with probability 0 contributes nothing: every
-        # continuation ties, and the argmax set must say so
-        best_moves[s] = tuple(remaining) if h + l == 0 else tuple(moves)
+        options = [(i, _engine.step(boxes[i], h, l, 0)[2] * rest[s | 1 << i]
+                    + value[s | 1 << i]) for i in range(n) if not s >> i & 1]
+        best_v = max(v for _, v in options)
+        slack = _engine.tie_slack(best_v, tol)
+        value[s] = best_v
+        best_moves[s] = tuple(i for i, v in options if v >= best_v - slack)
 
     perm = []
     s = 0
@@ -268,7 +253,7 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     expand(0, [])
     return SolveResult(
         best_order=order,
-        best_value=value[0],
+        best_value=finish(value[0]),
         argmax_set=tuple(argmax),
         method="subset_dp",
         details={"states": 1 << n, "argmax_truncated": truncated},
@@ -439,6 +424,7 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
     if per_order is None:
         per_order = n <= 4
     perms = list(itertools.permutations(range(n))) if per_order else None
+    prepare = _engine.prepare if mode == "exact" else _engine.prepare_float
     names = inst.journal_names()
 
     def label(perm):
@@ -450,14 +436,11 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
         orders = tuple(SearchOrder(p) for p in perms)
         for mu in grid:
             point = inst.with_prior(parse_number(mu))
-            boxes, prior_pair, out_pair = _engine.prepare(point)
-            if mode == "exact":
-                values = [_engine.order_value(boxes, p, prior_pair, out_pair)
-                          for p in perms]
-            else:
-                values = [evaluate(point, SearchOrder(p), "float").total for p in perms]
+            boxes, prior, outside = prepare(point)
+            values = [_engine.order_value(boxes, p, prior, outside) for p in perms]
             best_val = max(values)
-            ties = [k for k in range(len(perms)) if values[k] == best_val]
+            slack = _engine.tie_slack(best_val, _tie_tol(mode))
+            ties = [k for k in range(len(perms)) if values[k] >= best_val - slack]
             best_idx = min(ties, key=lambda k: perms[k])
             rows.append({
                 "mu": parse_number(mu) if mode == "exact" else float(parse_number(mu)),

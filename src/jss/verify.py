@@ -300,6 +300,17 @@ def verify_weak_feedback_monotonicity(trials: int = 500, seed: int = 104,
     return _finish(report, t0)
 
 
+def _composition_sign(boxes, h, l) -> int:
+    """Sign of the belief after rejections at boxes 0 then 1 minus the
+    belief after 1 then 0, starting from mass (h, l).  Compares H12*T21
+    with H21*T12, where T = H + L, so no belief is divided out; at prior 1
+    both compositions carry the same mass and compare equal."""
+    h12, l12, _ = _engine.step(boxes[1], *_engine.step(boxes[0], h, l, 0))
+    h21, l21, _ = _engine.step(boxes[0], *_engine.step(boxes[1], h, l, 0))
+    diff = h12 * (h21 + l21) - h21 * (h12 + l12)
+    return (diff > 0) - (diff < 0)
+
+
 def verify_commutation_sign(trials: int = 10000, seed: int = 105,
                             grid_points: int = 21) -> VerificationReport:
     """Submitting to box 1 then box 2 leaves a higher belief than the
@@ -324,27 +335,20 @@ def verify_commutation_sign(trials: int = 10000, seed: int = 105,
             # products now equal: a1*q2 == a2*q1
         else:
             q2 = Fraction(rng.randint(0, den - 1), den)
-        j1 = Journal("B1", 1, a1, q1)
-        j2 = Journal("B2", 1, a2, q2)
-        b1 = _engine.BoxArith(j1)
-        b2 = _engine.BoxArith(j2)
+        # equal payoffs keep the input order: boxes[0] is B1, boxes[1] is B2
+        boxes, _, _ = _engine.prepare(Instance(
+            (Journal("B1", 1, a1, q1), Journal("B2", 1, a2, q2)), Belief(0), 0))
         want = a1 * q2 - a2 * q1
         want_sign = 0 if want == 0 else (1 if want > 0 else -1)
         for num, d in grid:
-            x1n, x1d = _engine.belief_step(b1, num, d)
-            p12 = _engine.belief_step(b2, x1n, x1d)
-            x2n, x2d = _engine.belief_step(b2, num, d)
-            p21 = _engine.belief_step(b1, x2n, x2d)
-            got = _engine.compare_pairs(p12[0], p12[1], p21[0], p21[1])
+            got = _composition_sign(boxes, num, d - num)
             if got != want_sign:
                 _fail(report, k, seed + k, None, "sign law violated",
                       a1=a1, q1=q1, a2=a2, q2=q2, mu=Fraction(num, d),
                       expected=want_sign, got=got)
                 break
         else:
-            one12 = _engine.belief_step(b2, *_engine.belief_step(b1, 1, 1))
-            one21 = _engine.belief_step(b1, *_engine.belief_step(b2, 1, 1))
-            if one12 != one21:
+            if _composition_sign(boxes, 1, 0) != 0:
                 _fail(report, k, seed + k, None, "compositions differ at prior 1")
     report.notes.append(
         "at prior 0 the compositions genuinely differ (they agree only when "

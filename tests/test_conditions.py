@@ -174,6 +174,16 @@ def test_per_remaining_policy_forgives_spent_feedback_box():
     assert rep.details["floor_at_min"] == 0
 
 
+def test_floor_check_reads_zero_mass_as_belief_one():
+    # a sure acceptance at prior 1 leaves nothing to reach; the state
+    # behind it keeps belief 1, as every later rejection would
+    js = (Journal("SURE", 2, 1, 0), Journal("B", 1, F(1, 2), F(1, 4)))
+    rep = check_globally_bounded_weak_feedback(Instance(js, Belief(F(1))))
+    assert rep.passed
+    assert rep.margin == 1 - F(1, 3)
+    assert rep.details["min_belief"] == 1
+
+
 def test_floor_check_guards():
     inst = example_pair("1/2")
     with pytest.raises(ConditionError):

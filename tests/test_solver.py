@@ -3,6 +3,7 @@ prior sweeps.  Dual-route checks pit each fast path against genuine
 enumeration on the same instance."""
 import io
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from jss import (
     SolverError,
     belief_grid,
     brute_force_optimal,
+    dump_instance,
     evaluate,
     example_pair,
     index_order_no_feedback,
@@ -26,6 +28,7 @@ from jss import (
     value_difference,
 )
 from jss.catalog import BY_NAME
+from jss.generators import sample_order_independent
 
 
 @pytest.fixture
@@ -191,11 +194,22 @@ def test_subset_dp_ties_behind_a_sure_acceptance():
     assert {o.perm for o in dp.argmax_set} == {(0, 1, 2, 3), (0, 1, 3, 2)}
 
 
-def test_subset_dp_float_mode():
-    inst = _oi_instance()
-    dp = subset_dp_optimal(inst, mode="float")
-    assert dp.best_value == pytest.approx(float(subset_dp_optimal(inst).best_value),
-                                          abs=1e-12)
+@pytest.mark.parametrize("block", range(8))
+def test_subset_dp_float_mode(block):
+    # float ties follow the brute-force tolerance rule, so the float argmax
+    # equals the exact one; comparing floats with == would split exact ties
+    # (seed 74, for one)
+    cases = []
+    for seed in range(50 * block, 50 * block + 50):
+        rng = random.Random(seed)
+        cases.append(sample_order_independent(rng, rng.randint(2, 6)))
+    if block == 0:
+        cases.append(_oi_instance())  # costs and a nonzero outside option
+    for inst in cases:
+        exact = subset_dp_optimal(inst)
+        dp = subset_dp_optimal(inst, mode="float")
+        assert dp.best_value == pytest.approx(float(exact.best_value), abs=1e-12)
+        assert dp.argmax_set == exact.argmax_set, dump_instance(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +329,19 @@ def test_payoff_sweep_tie_row_prefers_lexicographic(pair):
     assert table.rows[0]["best"] == "J1>J2"
     assert table.rows[1]["best"] == "J2>J1"
     assert table.rows[2]["best"] == "J1>J2"
+
+
+def test_payoff_sweep_float_ties_match_exact():
+    # the float sweep's tie flag and best column follow the brute-force
+    # tolerance rule, so they agree with exact arithmetic
+    grid = belief_grid(0, 1, 11)
+    for seed in range(150):
+        rng = random.Random(seed)
+        inst = sample_order_independent(rng, rng.randint(2, 4))
+        exact = payoff_sweep(inst, grid)
+        floats = payoff_sweep(inst, grid, mode="float")
+        for e, f in zip(exact.rows, floats.rows):
+            assert (f["tie"], f["best"]) == (e["tie"], e["best"]), (seed, e["mu"])
 
 
 def test_payoff_sweep_csv_shape(pair):
