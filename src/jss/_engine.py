@@ -30,6 +30,9 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
+# Float values within this much (relative to max(1, |best|)) of the best
+# tie with it; see tie_slack.
+FLOAT_TIE_TOL = 1e-12
 
 # A box is the tuple (d, d - A, Q, d - Q, U A, C d) that step() reads;
 # d = 1 in float mode.
@@ -96,7 +99,7 @@ def best_orders(inst, first: int | None = None):
     return _walk(prepare(inst), first, 0)
 
 
-def best_orders_float(inst, first: int | None = None, tol: float = 1e-12):
+def best_orders_float(inst, first: int | None = None, tol: float = FLOAT_TIE_TOL):
     """Float twin of best_orders; ties are values within tie_slack of the best."""
     return _walk(prepare_float(inst), first, tol)
 

@@ -7,6 +7,7 @@ instance cannot satisfy, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -314,20 +315,12 @@ def cmd_verify(args) -> int:
                 raise UsageError(f"unknown suite {s!r}; choices: "
                                  f"{', '.join(sorted(verify_mod.SUITES))}, all")
             names.append(s)
+    given = {"trials": args.trials, "seed": args.seed, "episodes": args.episodes}
     reports = {}
     for name in names:
-        kwargs = {}
-        fn = verify_mod.SUITES[name]
-        params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
-        if args.trials is not None and "trials" in params:
-            kwargs["trials"] = args.trials
-        if args.trials is not None and "pairs" in params:
-            kwargs["pairs"] = args.trials
-        if args.seed is not None and "seed" in params:
-            kwargs["seed"] = args.seed
-        if args.episodes is not None and "episodes" in params:
-            kwargs["episodes"] = args.episodes
-        reports[name] = fn(**kwargs)
+        params = inspect.signature(verify_mod.SUITES[name]).parameters
+        reports[name] = verify_mod.run_suite(
+            name, **{k: v for k, v in given.items() if v is not None and k in params})
     lines = []
     for name, rep in reports.items():
         lines.append(f"[{name}] {rep.text()}")

@@ -214,7 +214,6 @@ def feedback_threshold(j: Journal) -> Fraction:
 def check_globally_bounded_weak_feedback(
     inst: Instance,
     policy: str = "max_over_journals",
-    max_size: int = GBWF_MAX_SIZE,
 ) -> ConditionReport:
     """Every belief reachable while boxes remain stays above a floor.
 
@@ -234,9 +233,9 @@ def check_globally_bounded_weak_feedback(
     if policy not in GBWF_POLICIES:
         raise ConditionError(f"unknown policy {policy!r}; choose from {GBWF_POLICIES}")
     n = inst.size
-    if n > max_size:
+    if n > GBWF_MAX_SIZE:
         raise ConditionError(
-            f"{n} journals means sum(n!/(n-k)!) prefixes; cap is {max_size}"
+            f"{n} journals means sum(n!/(n-k)!) prefixes; cap is {GBWF_MAX_SIZE}"
         )
     boxes, (h0, l0), _ = _engine.prepare(inst)
     thresholds = [feedback_threshold(j) for j in inst.journals]

@@ -139,7 +139,7 @@ def sample_order_independent(rng: random.Random, n: int) -> Instance:
     return Instance(journals, Belief(prior), 0)
 
 
-def sample_regular_2box(rng: random.Random, n: int = 2, strict: bool = True) -> Instance:
+def sample_regular_2box(rng: random.Random, n: int = 2) -> Instance:
     """Strictly regular pair with prior at or above the second box's
     feedback threshold q2/(a2+q2)."""
     den = 40

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import _engine
+from ._engine import FLOAT_TIE_TOL
 from .conditions import check_order_independence
 from .model import (
     Belief,
@@ -29,7 +30,6 @@ from .model import (
 
 BRUTE_FORCE_CAP = 10
 ARGMAX_ENUM_CAP = 20000
-FLOAT_TIE_TOL = 1e-12
 
 
 class SolverError(ModelError):

@@ -3,9 +3,15 @@
 Each suite draws seeded instances from the matching generator family,
 tests one claim trial by trial against an independent oracle (exhaustive
 search, a closed form, or the linear mass recursion), and returns a
-VerificationReport.  A failing trial records the serialized instance and
-the derived seed so it can be replayed exactly.  Trial k always uses
-random.Random(seed + k).
+VerificationReport.  Trial k always uses random.Random(seed + k).  A
+failing trial records the serialized instance, its trial number and the
+seed seed + k; rerunning with seed - trial as the seed and trial + 1
+trials replays it exactly.  Fixed probes are recorded as trial -1 or -2
+at the base seed.
+
+Every suite takes `trials` and `seed`, except `reproduce_counterexamples`,
+which replays the fixed catalog and takes neither.  `verify_mc_consistency`
+also takes `episodes`; its trials are Monte Carlo runs.
 """
 from __future__ import annotations
 
@@ -83,36 +89,62 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _fail(report, trial, seed, inst, message, **data):
-    entry = {"trial": trial, "seed": seed, "message": message}
-    if inst is not None:
-        entry["instance"] = dump_instance(inst)
-    for k, v in data.items():
-        entry[k] = format_number(v) if isinstance(v, Fraction) else v
-    report.failures.append(entry)
+class _Trials:
+    """One suite run: its report and clock, and its seeded trials.
 
+    Iterating yields (k, random.Random(seed + k)) for k < trials.  `fail`
+    records the current trial and the seed that replays it; a fixed probe
+    passes trial=-1 or -2 and is recorded at the base seed.
+    """
 
-def _finish(report, t0):
-    report.elapsed_seconds = time.perf_counter() - t0
-    return report
+    def __init__(self, claim: str, trials: int, seed: int):
+        self.report = VerificationReport(claim=claim, trials=trials)
+        self.seed = seed
+        self.trial = None
+        self._t0 = time.perf_counter()
+
+    def seed_of(self, k: int) -> int:
+        return self.seed + k if k >= 0 else self.seed
+
+    def rng(self, k: int) -> random.Random:
+        return random.Random(self.seed_of(k))
+
+    def __iter__(self):
+        for k in range(self.report.trials):
+            self.trial = k
+            yield k, self.rng(k)
+        self.trial = None
+
+    def fail(self, inst, message, *, trial=None, **data):
+        trial = self.trial if trial is None else trial
+        entry = {"trial": trial, "seed": self.seed_of(trial), "message": message}
+        if inst is not None:
+            entry["instance"] = dump_instance(inst)
+        for k, v in data.items():
+            entry[k] = format_number(v) if isinstance(v, Fraction) else v
+        self.report.failures.append(entry)
+
+    def note(self, text: str) -> None:
+        self.report.notes.append(text)
+
+    def done(self) -> VerificationReport:
+        self.report.elapsed_seconds = time.perf_counter() - self._t0
+        return self.report
 
 
 # ---------------------------------------------------------------------------
 
-def verify_no_feedback_index(trials: int = 1000, seed: int = 101,
-                             size_range=(2, 7)) -> VerificationReport:
+def verify_no_feedback_index(trials: int = 1000, seed: int = 101) -> VerificationReport:
     """Without feedback, sorting by the cost-adjusted index u - c/a is
     exhaustively optimal for any prior and any costs; with zero costs
     that is plain payoff sorting."""
     from .solver import index_order_no_feedback
 
-    report = VerificationReport(
+    t = _Trials(
         claim="q = 0 everywhere: the u - c/a index order matches the "
-              "exhaustive optimum exactly", trials=trials)
-    t0 = time.perf_counter()
-    for k in range(trials):
-        rng = random.Random(seed + k)
-        n = rng.randint(*size_range)
+              "exhaustive optimum exactly", trials=trials, seed=seed)
+    for k, rng in t:
+        n = rng.randint(2, 7)
         inst = sample_no_feedback(rng, n)
         if k % 4 == 0:
             inst = Instance(tuple(Journal(j.name, j.u, j.a, j.q, 0)
@@ -120,64 +152,61 @@ def verify_no_feedback_index(trials: int = 1000, seed: int = 101,
         res = brute_force_optimal(inst)
         ranked = index_order_no_feedback(inst)
         if evaluate(inst, ranked.best_order).total != res.best_value:
-            _fail(report, k, seed + k, inst, "index order value below optimum",
-                  index_value=evaluate(inst, ranked.best_order).total,
-                  optimum=res.best_value)
+            t.fail(inst, "index order value below optimum",
+                   index_value=evaluate(inst, ranked.best_order).total,
+                   optimum=res.best_value)
             continue
         if ranked.best_order.perm not in [o.perm for o in res.argmax_set]:
-            _fail(report, k, seed + k, inst, "index order missing from argmax set")
+            t.fail(inst, "index order missing from argmax set")
             continue
         if k % 4 == 0 and evaluate(inst, monotone_order(inst)).total != res.best_value:
-            _fail(report, k, seed + k, inst,
-                  "zero costs: payoff-sorted order not optimal")
+            t.fail(inst, "zero costs: payoff-sorted order not optimal")
     twin = Instance((Journal("A", 3, Fraction(1, 2), 0, Fraction(1, 4)),
                      Journal("B", 3, Fraction(1, 2), 0, Fraction(1, 4))),
                     Belief(Fraction(2, 3)))
     if len(brute_force_optimal(twin).argmax_set) == 2:
-        report.notes.append("identical journals tie: both orders in the argmax set")
+        t.note("identical journals tie: both orders in the argmax set")
     else:
-        _fail(report, -1, seed, twin, "identical journals should tie")
+        t.fail(twin, "identical journals should tie", trial=-1)
     mixed = Instance((Journal("IDX8", 10, Fraction(1, 2), 0, 1),
                       Journal("IDX89", 9, Fraction(9, 10), 0, Fraction(9, 100))),
                      Belief(Fraction(1)))
     if brute_force_optimal(mixed).best_order.perm != (1, 0):
-        _fail(report, -2, seed, mixed,
-              "cost-adjusted index should beat raw payoff sorting here")
+        t.fail(mixed, "cost-adjusted index should beat raw payoff sorting here",
+               trial=-2)
     else:
-        report.notes.append(
+        t.note(
             "costs can reverse raw payoff order: u=9 box with index 8.91 "
             "goes before u=10 box with index 8")
-    return _finish(report, t0)
+    return t.done()
 
 
-def verify_order_independent_indexing(trials: int = 500, seed: int = 102,
-                                      size_range=(2, 6)) -> VerificationReport:
+def verify_order_independent_indexing(trials: int = 500,
+                                      seed: int = 102) -> VerificationReport:
     """Commuting belief updates with proportional costs: payoff sorting is
     optimal whenever the prior sits at or above the shared floor
     q/(q+a); subset DP equals brute force; exit probabilities over a pair
     are order-invariant."""
-    report = VerificationReport(
+    t = _Trials(
         claim="order-independent instances (prior above the shared floor): "
               "payoff-sorted in argmax, subset DP = brute force, exit "
-              "probabilities order-invariant", trials=trials)
-    t0 = time.perf_counter()
-    for k in range(trials):
-        rng = random.Random(seed + k)
-        n = rng.randint(*size_range)
+              "probabilities order-invariant", trials=trials, seed=seed)
+    for k, rng in t:
+        n = rng.randint(2, 6)
         inst = sample_order_independent(rng, n)
         res = brute_force_optimal(inst)
         mono = monotone_order(inst)
         if evaluate(inst, mono).total != res.best_value:
-            _fail(report, k, seed + k, inst, "payoff-sorted order suboptimal",
-                  monotone_value=evaluate(inst, mono).total, optimum=res.best_value)
+            t.fail(inst, "payoff-sorted order suboptimal",
+                   monotone_value=evaluate(inst, mono).total, optimum=res.best_value)
             continue
         dp = subset_dp_optimal(inst)
         if dp.best_value != res.best_value:
-            _fail(report, k, seed + k, inst, "subset DP disagrees with brute force",
-                  dp_value=dp.best_value, optimum=res.best_value)
+            t.fail(inst, "subset DP disagrees with brute force",
+                   dp_value=dp.best_value, optimum=res.best_value)
             continue
         if sorted(o.perm for o in dp.argmax_set) != sorted(o.perm for o in res.argmax_set):
-            _fail(report, k, seed + k, inst, "subset DP argmax set differs")
+            t.fail(inst, "subset DP argmax set differs")
             continue
         mu0 = inst.prior
         probes = [mu0] + [update_belief(j, mu0) for j in inst.journals[:2]]
@@ -188,14 +217,14 @@ def verify_order_independent_indexing(trials: int = 500, seed: int = 102,
                 lhs = (1 - ji.a * b.mu_h) * (1 - jjj.a * update_belief(ji, b).mu_h)
                 rhs = (1 - jjj.a * b.mu_h) * (1 - ji.a * update_belief(jjj, b).mu_h)
                 if lhs != rhs:
-                    _fail(report, k, seed + k, inst,
-                          "exit probability depends on pair order",
-                          pair=(ji.name, jjj.name))
+                    t.fail(inst,
+                           "exit probability depends on pair order",
+                           pair=(ji.name, jjj.name))
                     ok = False
                     break
                 if update_belief(jjj, update_belief(ji, b)) != \
                         update_belief(ji, update_belief(jjj, b)):
-                    _fail(report, k, seed + k, inst, "belief updates fail to commute")
+                    t.fail(inst, "belief updates fail to commute")
                     ok = False
                     break
             if not ok:
@@ -207,25 +236,23 @@ def verify_order_independent_indexing(trials: int = 500, seed: int = 102,
         Belief(Fraction(3, 10)))
     pres = brute_force_optimal(probe)
     if pres.best_order.perm == (1, 0):
-        report.notes.append(
+        t.note(
             "below the shared floor q/(q+a) = 1/3 the payoff-sorted order is "
             "strictly suboptimal (prior 3/10: 0.304 < 0.312), so the claim "
             "needs the prior bound; the generator samples the valid region")
     else:
-        _fail(report, -1, seed, probe, "expected payoff-sorted to lose below the floor")
-    return _finish(report, t0)
+        t.fail(probe, "expected payoff-sorted to lose below the floor", trial=-1)
+    return t.done()
 
 
 def verify_two_box_base_case(trials: int = 1000, seed: int = 103) -> VerificationReport:
     """Strictly regular pair with the prior at or above the low box's
     floor q2/(a2+q2): payoff-sorted is uniquely optimal (weak regularity
     keeps it weakly optimal)."""
-    report = VerificationReport(
+    t = _Trials(
         claim="strictly regular two-box instances above the floor: "
-              "payoff-sorted order uniquely optimal", trials=trials)
-    t0 = time.perf_counter()
-    for k in range(trials):
-        rng = random.Random(seed + k)
+              "payoff-sorted order uniquely optimal", trials=trials, seed=seed)
+    for k, rng in t:
         inst = sample_regular_2box(rng, 2)
         if k % 5 == 4:
             j1, j2 = inst.journals
@@ -241,39 +268,36 @@ def verify_two_box_base_case(trials: int = 1000, seed: int = 103) -> Verificatio
             inst = Instance((j1, j2), Belief(prior), 0)
             res = brute_force_optimal(inst)
             if (0, 1) not in [o.perm for o in res.argmax_set]:
-                _fail(report, k, seed + k, inst,
-                      "weakly regular tie: payoff-sorted missing from argmax")
+                t.fail(inst, "weakly regular tie: payoff-sorted missing from argmax")
             continue
         res = brute_force_optimal(inst)
         if [o.perm for o in res.argmax_set] != [(0, 1)]:
-            _fail(report, k, seed + k, inst,
-                  "strict regularity: argmax should be exactly the sorted order",
-                  argmax=[o.perm for o in res.argmax_set])
+            t.fail(inst,
+                   "strict regularity: argmax should be exactly the sorted order",
+                   argmax=[o.perm for o in res.argmax_set])
     case = BY_NAME["strong_feedback_showcase"]
     inside = case.instance(Fraction(167, 290))  # between 4/7 and 17/29
     res = brute_force_optimal(inside)
     gb = check_globally_bounded_weak_feedback(inside)
     if res.best_order.perm == (1, 0) and gb.passed:
-        report.notes.append(
+        t.note(
             "belief floor alone is not enough: at prior 167/290 every "
             "reachable belief clears max q/(q+a) = 4/7 yet the low-payoff "
             "box goes first (this pair is not regular: q rises with a)")
     else:
-        _fail(report, -1, seed, inside, "expected nonmonotone optimum inside the band")
-    return _finish(report, t0)
+        t.fail(inside, "expected nonmonotone optimum inside the band", trial=-1)
+    return t.done()
 
 
-def verify_weak_feedback_monotonicity(trials: int = 500, seed: int = 104,
-                                      size_range=(2, 6)) -> VerificationReport:
+def verify_weak_feedback_monotonicity(trials: int = 500,
+                                      seed: int = 104) -> VerificationReport:
     """Exponentially regular instances whose reachable beliefs stay above
     the floor: payoff-sorted is the unique exhaustive optimum."""
-    report = VerificationReport(
+    t = _Trials(
         claim="exponential regularity + belief floor: payoff-sorted order "
-              "uniquely optimal", trials=trials)
-    t0 = time.perf_counter()
-    for k in range(trials):
-        rng = random.Random(seed + k)
-        n = rng.randint(*size_range)
+              "uniquely optimal", trials=trials, seed=seed)
+    for k, rng in t:
+        n = rng.randint(2, 6)
         inst = sample_exp_regular_gbwf(rng, n)
         res = brute_force_optimal(inst)
         perms = [o.perm for o in res.argmax_set]
@@ -291,13 +315,11 @@ def verify_weak_feedback_monotonicity(trials: int = 500, seed: int = 104,
                 continue
             wres = brute_force_optimal(weak)
             if tuple(range(n)) not in [o.perm for o in wres.argmax_set]:
-                _fail(report, k, seed + k, weak,
-                      "weak regularity: payoff-sorted missing from argmax")
+                t.fail(weak, "weak regularity: payoff-sorted missing from argmax")
             continue
         if perms != [tuple(range(n))]:
-            _fail(report, k, seed + k, inst,
-                  "payoff-sorted order not the unique optimum", argmax=perms)
-    return _finish(report, t0)
+            t.fail(inst, "payoff-sorted order not the unique optimum", argmax=perms)
+    return t.done()
 
 
 def _composition_sign(boxes, h, l) -> int:
@@ -311,18 +333,15 @@ def _composition_sign(boxes, h, l) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def verify_commutation_sign(trials: int = 10000, seed: int = 105,
-                            grid_points: int = 21) -> VerificationReport:
+def verify_commutation_sign(trials: int = 10000, seed: int = 105) -> VerificationReport:
     """Submitting to box 1 then box 2 leaves a higher belief than the
     reverse exactly when a1 q2 > a2 q1 (equal products commute), at every
     interior prior; at prior 1 both compositions return 1."""
-    report = VerificationReport(
+    t = _Trials(
         claim="two-rejection posterior difference carries the sign of "
-              "a1*q2 - a2*q1 on the whole interior grid", trials=trials)
-    t0 = time.perf_counter()
-    grid = [(k, grid_points + 1) for k in range(1, grid_points + 1)]
-    for k in range(trials):
-        rng = random.Random(seed + k)
+              "a1*q2 - a2*q1 on the whole interior grid", trials=trials, seed=seed)
+    grid = [(num, 22) for num in range(1, 22)]
+    for k, rng in t:
         den = 48
         a1 = Fraction(rng.randint(1, den), den)
         q1 = Fraction(rng.randint(0, den - 1), den)
@@ -343,31 +362,28 @@ def verify_commutation_sign(trials: int = 10000, seed: int = 105,
         for num, d in grid:
             got = _composition_sign(boxes, num, d - num)
             if got != want_sign:
-                _fail(report, k, seed + k, None, "sign law violated",
-                      a1=a1, q1=q1, a2=a2, q2=q2, mu=Fraction(num, d),
-                      expected=want_sign, got=got)
+                t.fail(None, "sign law violated",
+                       a1=a1, q1=q1, a2=a2, q2=q2, mu=Fraction(num, d),
+                       expected=want_sign, got=got)
                 break
         else:
             if _composition_sign(boxes, 1, 0) != 0:
-                _fail(report, k, seed + k, None, "compositions differ at prior 1")
-    report.notes.append(
+                t.fail(None, "compositions differ at prior 1")
+    t.note(
         "at prior 0 the compositions genuinely differ (they agree only when "
         "a1*q2 = a2*q1); the zero-difference boundary is the prior-1 end")
-    return _finish(report, t0)
+    return t.done()
 
 
-def verify_ratio_bound(trials: int = 500, seed: int = 106,
-                       grid_points: int = 21) -> VerificationReport:
+def verify_ratio_bound(trials: int = 500, seed: int = 106) -> VerificationReport:
     """For a regular pair, the high box's posterior stays above the low
     box's by at least the survival ratio: f1/f2 >= (1-a2 mu)/(1-a1 mu),
     equivalently mu(1-a1) + q1(1-mu) >= mu(1-a2) + q2(1-mu); dropping
     regularity breaks it at small priors."""
-    report = VerificationReport(
+    t = _Trials(
         claim="regular pairs keep the posterior ratio above the survival "
-              "ratio on the interior grid", trials=trials)
-    t0 = time.perf_counter()
-    for k in range(trials):
-        rng = random.Random(seed + k)
+              "ratio on the interior grid", trials=trials, seed=seed)
+    for k, rng in t:
         den = 40
         lo_ai = rng.randint(1, den - 1)
         hi_ai = rng.randint(lo_ai, den)
@@ -375,21 +391,21 @@ def verify_ratio_bound(trials: int = 500, seed: int = 106,
         lo_qi = rng.randint(0, hi_qi)
         j1 = Journal("B1", 2, Fraction(lo_ai, den), Fraction(hi_qi, den))
         j2 = Journal("B2", 1, Fraction(hi_ai, den), Fraction(lo_qi, den))
-        for num in range(1, grid_points + 1):
-            mu = Fraction(num, grid_points + 1)
+        for num in range(1, 22):
+            mu = Fraction(num, 22)
             g1 = mu * (1 - j1.a) + j1.q * (1 - mu)
             g2 = mu * (1 - j2.a) + j2.q * (1 - mu)
             if g1 < g2:
-                _fail(report, k, seed + k, None, "mass comparison failed",
-                      a1=j1.a, q1=j1.q, a2=j2.a, q2=j2.q, mu=mu)
+                t.fail(None, "mass comparison failed",
+                       a1=j1.a, q1=j1.q, a2=j2.a, q2=j2.q, mu=mu)
                 break
             if num % 7 == 0:
                 b = Belief(mu)
                 f1 = update_belief(j1, b).mu_h
                 f2 = update_belief(j2, b).mu_h
                 if f2 > 0 and Fraction(f1, f2) < Fraction(1 - j2.a * mu, 1 - j1.a * mu):
-                    _fail(report, k, seed + k, None, "ratio form failed",
-                          a1=j1.a, q1=j1.q, a2=j2.a, q2=j2.q, mu=mu)
+                    t.fail(None, "ratio form failed",
+                           a1=j1.a, q1=j1.q, a2=j2.a, q2=j2.q, mu=mu)
                     break
         if k % 8 == 7:
             # converse: violate regularity (q2 > q1), find a crossing prior
@@ -404,10 +420,10 @@ def verify_ratio_bound(trials: int = 500, seed: int = 106,
             g1 = mu_w * (1 - a1) + q1 * (1 - mu_w)
             g2 = mu_w * (1 - a2) + q2 * (1 - mu_w)
             if not g1 < g2:
-                _fail(report, k, seed + k, None,
-                      "expected a violation witness for the irregular pair",
-                      a1=a1, q1=q1, a2=a2, q2=q2, mu=mu_w)
-    return _finish(report, t0)
+                t.fail(None,
+                       "expected a violation witness for the irregular pair",
+                       a1=a1, q1=q1, a2=a2, q2=q2, mu=mu_w)
+    return t.done()
 
 
 def _sample_regular(rng: random.Random, n: int) -> Instance:
@@ -421,8 +437,7 @@ def _sample_regular(rng: random.Random, n: int) -> Instance:
     return Instance(js, Belief(_frac(rng, Fraction(1, 64), Fraction(63, 64), 64)), 0)
 
 
-def verify_single_crossing(trials: int = 500, seed: int = 107,
-                           size_range=(3, 6)) -> VerificationReport:
+def verify_single_crossing(trials: int = 500, seed: int = 107) -> VerificationReport:
     """Swap the first two submissions and track d_s, the difference in
     reach*belief mass entering each later period.  The unnormalized
     (H-mass, L-mass) state evolves linearly, so d_s has the closed form
@@ -430,14 +445,12 @@ def verify_single_crossing(trials: int = 500, seed: int = 107,
     single-signed, hence at most one sign change; under regularity it is
     never negative (no crossing), and the survival difference never grows
     past its first value."""
-    report = VerificationReport(
+    t = _Trials(
         claim="first-two-swap mass differences are single-signed with the "
               "linear-recursion closed form; survival gaps never grow",
-        trials=trials)
-    t0 = time.perf_counter()
-    for k in range(trials):
-        rng = random.Random(seed + k)
-        n = rng.randint(*size_range)
+        trials=trials, seed=seed)
+    for k, rng in t:
+        n = rng.randint(3, 6)
         inst = _sample_regular(rng, n)
         regular = True
         twin = False
@@ -472,14 +485,13 @@ def verify_single_crossing(trials: int = 500, seed: int = 107,
             d = tr1.reach[s] * tr1.beliefs[s] - tr2.reach[s] * tr2.beliefs[s]
             ds.append(d)
             if d != w * (1 - mu) * prod:
-                _fail(report, k, seed + k, inst, "closed form mismatch",
-                      s=s + 1, got=d, expected=w * (1 - mu) * prod)
+                t.fail(inst, "closed form mismatch",
+                       s=s + 1, got=d, expected=w * (1 - mu) * prod)
                 ok = False
                 break
             rdiff = tr1.reach[s] - tr2.reach[s]
             if rdiff != d:
-                _fail(report, k, seed + k, inst,
-                      "survival difference should equal the mass difference")
+                t.fail(inst, "survival difference should equal the mass difference")
                 ok = False
                 break
             prod *= 1 - inst.journals[tail[s - 2]].a if s - 2 < len(tail) else 1
@@ -490,8 +502,7 @@ def verify_single_crossing(trials: int = 500, seed: int = 107,
         for s, d in zip(range(3, n + 2), ds):
             # zeros after a negative run are fine (a=1 in the tail kills prod)
             if seen_neg and d > 0:
-                _fail(report, k, seed + k, inst,
-                      "mass difference recovered after turning negative")
+                t.fail(inst, "mass difference recovered after turning negative")
                 ok = False
                 break
             if d < 0 and not seen_neg:
@@ -500,101 +511,95 @@ def verify_single_crossing(trials: int = 500, seed: int = 107,
         if not ok:
             continue
         if regular and crossing != n + 2:
-            _fail(report, k, seed + k, inst,
-                  "regular instance should never cross", crossing=crossing)
+            t.fail(inst, "regular instance should never cross", crossing=crossing)
             continue
         d3 = ds[0]
         if any(abs(d) > abs(d3) for d in ds):
-            _fail(report, k, seed + k, inst,
-                  "survival gap exceeded its first value")
+            t.fail(inst, "survival gap exceeded its first value")
             continue
         if twin and any(d != 0 for d in ds):
-            _fail(report, k, seed + k, inst,
-                  "identical first two boxes should give zero differences")
-    report.notes.append(
+            t.fail(inst, "identical first two boxes should give zero differences")
+    t.note(
         "the sign is constant (not just single-crossing): the linear mass "
         "recursion scales d_3 by nonnegative survival factors, so a "
         "crossing index past the horizon is the generic regular outcome")
-    return _finish(report, t0)
+    return t.done()
 
 
-def verify_normalization_shift(trials: int = 200, seed: int = 108,
-                               size_range=(2, 5),
-                               shifts=(-3, 1, 10)) -> VerificationReport:
+def verify_normalization_shift(trials: int = 200,
+                               seed: int = 108) -> VerificationReport:
     """Shifting every payoff and the outside option by K shifts every
     order's value by exactly -K and leaves argmax sets untouched."""
-    report = VerificationReport(
+    t = _Trials(
         claim="payoff/outside shifts move all order values by exactly the "
-              "shift and preserve argmax sets", trials=trials)
-    t0 = time.perf_counter()
-    for k in range(trials):
-        rng = random.Random(seed + k)
-        n = rng.randint(*size_range)
+              "shift and preserve argmax sets", trials=trials, seed=seed)
+    for k, rng in t:
+        n = rng.randint(2, 5)
         inst = sample_unconstrained(rng, n)
-        for K in shifts:
+        boxes0, prior0, out0 = _engine.prepare(inst)
+        values0 = [(perm, _engine.order_value(boxes0, perm, prior0, out0))
+                   for perm in itertools.permutations(range(n))]
+        mono = monotone_order(inst)
+        mono_value = evaluate(inst, mono).total
+        a0 = [o.perm for o in brute_force_optimal(inst).argmax_set]
+        for K in (-3, 1, 10):
             shifted = normalize(inst, K)
-            boxes0, prior0, out0 = _engine.prepare(inst)
             boxes1, prior1, out1 = _engine.prepare(shifted)
             ok = True
-            for perm in itertools.permutations(range(n)):
-                v0 = _engine.order_value(boxes0, perm, prior0, out0)
+            for perm, v0 in values0:
                 v1 = _engine.order_value(boxes1, perm, prior1, out1)
                 if v1 != v0 - K:
-                    _fail(report, k, seed + k, inst, "shift identity failed",
-                          shift=Fraction(K), order=perm, base=v0, shifted=v1)
+                    t.fail(inst, "shift identity failed",
+                           shift=Fraction(K), order=perm, base=v0, shifted=v1)
                     ok = False
                     break
-            mono = monotone_order(inst)
-            if ok and evaluate(shifted, mono).total != evaluate(inst, mono).total - K:
-                _fail(report, k, seed + k, inst, "trace-path shift identity failed",
-                      shift=Fraction(K))
+            if ok and evaluate(shifted, mono).total != mono_value - K:
+                t.fail(inst, "trace-path shift identity failed", shift=Fraction(K))
                 ok = False
             if not ok:
                 break
-            a0 = [o.perm for o in brute_force_optimal(inst).argmax_set]
             a1 = [o.perm for o in brute_force_optimal(shifted).argmax_set]
             if a0 != a1:
-                _fail(report, k, seed + k, inst, "argmax set changed under shift",
-                      shift=Fraction(K))
+                t.fail(inst, "argmax set changed under shift", shift=Fraction(K))
                 break
             if k % 10 == 0:
-                f0 = evaluate(inst, monotone_order(inst), "float").total
+                f0 = evaluate(inst, mono, "float").total
                 f1 = evaluate(shifted, monotone_order(shifted), "float").total
                 if abs(f1 - (f0 - float(K))) > 1e-9:
-                    _fail(report, k, seed + k, inst, "float-mode shift drifted")
+                    t.fail(inst, "float-mode shift drifted")
                     break
-    return _finish(report, t0)
+    return t.done()
 
 
 def reproduce_counterexamples() -> VerificationReport:
     """Replay the catalog: exact flip boundaries, behaviour at the
     commonly quoted priors, floor diagnostics, and the band where the
     belief floor holds yet payoff sorting loses."""
-    report = VerificationReport(
+    t = _Trials(
         claim="catalog thresholds exact; quoted evaluation points replayed",
-        trials=len(CASES))
-    t0 = time.perf_counter()
+        trials=len(CASES), seed=0)
     eps = Fraction(1, 1000)
-    for idx, case in enumerate(CASES):
+    for idx, _ in t:
+        case = CASES[idx]
         thr = prior_threshold_2box(case.journals[0], case.journals[1])
         inst0 = case.instance(case.flip_boundary)
         if thr.kind != "threshold" or thr.mu_star != case.flip_boundary:
-            _fail(report, idx, 0, inst0, f"{case.name}: boundary mismatch",
-                  expected=case.flip_boundary,
-                  got=thr.mu_star if thr.mu_star is not None else thr.kind)
+            t.fail(inst0, f"{case.name}: boundary mismatch",
+                   expected=case.flip_boundary,
+                   got=thr.mu_star if thr.mu_star is not None else thr.kind)
             continue
         if thr.direction != "above":
-            _fail(report, idx, 0, inst0, f"{case.name}: unexpected direction")
+            t.fail(inst0, f"{case.name}: unexpected direction")
             continue
         at = brute_force_optimal(inst0)
         if len(at.argmax_set) != 2:
-            _fail(report, idx, 0, inst0, f"{case.name}: no tie at the boundary")
+            t.fail(inst0, f"{case.name}: no tie at the boundary")
             continue
         above = brute_force_optimal(case.instance(case.flip_boundary + eps))
         below = brute_force_optimal(case.instance(case.flip_boundary - eps))
         if [o.perm for o in above.argmax_set] != [(0, 1)] or \
                 [o.perm for o in below.argmax_set] != [(1, 0)]:
-            _fail(report, idx, 0, inst0, f"{case.name}: wrong side preference")
+            t.fail(inst0, f"{case.name}: wrong side preference")
             continue
         if case.quoted_prior is not None:
             res = brute_force_optimal(case.instance(case.quoted_prior))
@@ -602,11 +607,11 @@ def reproduce_counterexamples() -> VerificationReport:
             q = format_number(case.quoted_prior)
             b = format_number(case.flip_boundary)
             if actual == case.quoted_behavior:
-                report.notes.append(
+                t.note(
                     f"{case.name}: quoted prior {q} is {actual} as quoted "
                     f"(boundary {b})")
             else:
-                report.notes.append(
+                t.note(
                     f"{case.name}: DISCREPANCY - commonly quoted as "
                     f"{case.quoted_behavior} at prior {q}, but exact evaluation "
                     f"gives {actual}; the flip boundary is {b}")
@@ -614,15 +619,15 @@ def reproduce_counterexamples() -> VerificationReport:
     low = check_globally_bounded_weak_feedback(case.instance(Fraction(1, 20)))
     high = check_globally_bounded_weak_feedback(case.instance(Fraction(9, 10)))
     if low.passed or not high.passed:
-        _fail(report, -1, 0, case.instance(Fraction(1, 20)),
-              "floor check should fail at 1/20 and pass at 9/10")
+        t.fail(case.instance(Fraction(1, 20)),
+               "floor check should fail at 1/20 and pass at 9/10", trial=-1)
     elif (high.details["min_belief"] != Fraction(19, 23)
           or high.details["min_belief_prefix"] != ("J2",)
           or max(high.details["thresholds"].values()) != Fraction(3, 8)):
-        _fail(report, -1, 0, case.instance(Fraction(9, 10)),
-              "floor diagnostics off", min_belief=high.details["min_belief"])
+        t.fail(case.instance(Fraction(9, 10)), "floor diagnostics off",
+               trial=-1, min_belief=high.details["min_belief"])
     else:
-        report.notes.append(
+        t.note(
             "weak_feedback_floor: floor 3/8, prior 9/10 passes with minimum "
             "reachable belief 19/23 after one rejection at the low box; "
             "prior 1/20 fails the floor and is below the flip boundary 1/16")
@@ -632,25 +637,24 @@ def reproduce_counterexamples() -> VerificationReport:
     res = brute_force_optimal(mid)
     sf = check_strong_feedback(case.journals[1], Belief(Fraction(29, 50)))
     if gb.passed and res.best_order.perm == (1, 0) and sf.passed:
-        report.notes.append(
+        t.note(
             "strong_feedback_showcase: inside (4/7, 17/29) the floor holds, "
             "the low box's rejection raises the belief (boundary q/a), and "
             "the low box still goes first: no prior-free payoff index exists")
     else:
-        _fail(report, -2, 0, mid, "band behaviour changed")
-    return _finish(report, t0)
+        t.fail(mid, "band behaviour changed", trial=-2)
+    return t.done()
 
 
-def verify_mc_consistency(pairs: int = 20, episodes: int = 10 ** 6,
-                          seed: int = 109) -> VerificationReport:
+def verify_mc_consistency(trials: int = 20, seed: int = 109,
+                          episodes: int = 10 ** 6) -> VerificationReport:
     """Monte Carlo means sit within 3 standard errors of the exact value
     and per-period survival frequencies within 3 binomial sigmas.  A
     failing run is retried once on a fresh seed (a 3-sigma bound fails by
     chance roughly once in 370 runs)."""
-    report = VerificationReport(
+    t = _Trials(
         claim="simulation agrees with exact evaluation within 3 sigma",
-        trials=pairs)
-    t0 = time.perf_counter()
+        trials=trials, seed=seed)
     runs = []
     showcase = BY_NAME["strong_feedback_showcase"]
     for mu in (Fraction(1, 2), Fraction(17, 29), Fraction(3, 4)):
@@ -658,8 +662,8 @@ def verify_mc_consistency(pairs: int = 20, episodes: int = 10 ** 6,
         runs.append((inst, SearchOrder((0, 1))))
         runs.append((inst, SearchOrder((1, 0))))
     k = 0
-    while len(runs) < pairs:
-        rng = random.Random(seed + 500 + k)
+    while len(runs) < trials:
+        rng = t.rng(500 + k)
         inst = sample_unconstrained(rng, rng.randint(2, 4))
         perm = list(range(inst.size))
         rng.shuffle(perm)
@@ -677,29 +681,29 @@ def verify_mc_consistency(pairs: int = 20, episodes: int = 10 ** 6,
             return (f"mean {mean:.6f} vs exact {target:.6f} "
                     f"(|z| = {abs(mean - target) / se:.2f})")
         freqs = empirical_survival(inst, order, episodes, run_seed)
-        for t, (freq, r) in enumerate(zip(freqs, trace.reach)):
+        for period, (freq, r) in enumerate(zip(freqs, trace.reach)):
             p = float(r)
             sigma = (p * (1 - p) / episodes) ** 0.5
             if sigma == 0:
                 if freq != p:
-                    return f"survival at period {t + 1}: {freq} vs certain {p}"
+                    return f"survival at period {period + 1}: {freq} vs certain {p}"
             elif abs(freq - p) > 3 * sigma:
-                return (f"survival at period {t + 1}: {freq:.6f} vs {p:.6f} "
+                return (f"survival at period {period + 1}: {freq:.6f} vs {p:.6f} "
                         f"(|z| = {abs(freq - p) / sigma:.2f})")
         return None
 
-    for i, (inst, order) in enumerate(runs[:pairs]):
-        msg = within(inst, order, seed + i)
+    for i, _ in t:
+        inst, order = runs[i]
+        msg = within(inst, order, t.seed_of(i))
         if msg is not None:
-            retry = within(inst, order, seed + i + 7777)
+            retry = within(inst, order, t.seed_of(i) + 7777)
             if retry is None:
-                report.notes.append(
+                t.note(
                     f"run {i} tripped the 3-sigma bound ({msg}) and passed on "
                     "a fresh seed; kept")
             else:
-                _fail(report, i, seed + i, inst, f"simulation off twice: {retry}",
-                      order=list(order.perm))
-    return _finish(report, t0)
+                t.fail(inst, f"simulation off twice: {retry}", order=list(order.perm))
+    return t.done()
 
 
 SUITES = {
@@ -724,7 +728,5 @@ def run_suite(name: str, **overrides) -> VerificationReport:
 
 def run_all(**per_suite_overrides) -> dict:
     """Run every suite; per_suite_overrides maps suite name -> kwargs."""
-    results = {}
-    for name, fn in SUITES.items():
-        results[name] = fn(**per_suite_overrides.get(name, {}))
-    return results
+    return {name: run_suite(name, **per_suite_overrides.get(name, {}))
+            for name in SUITES}

@@ -128,6 +128,14 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--suite", "nope"]) == 1
 
 
+def test_verify_flags_reach_only_suites_that_take_them(capsys):
+    assert main(["verify", "--suite", "mc_consistency", "--trials", "2",
+                 "--episodes", "2000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mc_consistency"]["trials"] == 2
+    assert main(["verify", "--suite", "counterexamples", "--trials", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counterexamples"]["trials"] == 4
+
+
 def test_verify_json_and_failure_exit(capsys, monkeypatch):
     import jss.verify as verify_mod
 

@@ -1,11 +1,15 @@
 """Verification suites at reduced trial counts: every suite must come
 back clean, produce replayable failure records, and the catalog replay
 must flag the quoted-evaluation discrepancies it was built to expose."""
+import dataclasses
+import inspect
 import json
 
 import pytest
 
+import jss.verify as verify_mod
 from jss import SUITES, run_all, run_suite
+from jss.model import SearchOrder
 from jss.verify import reproduce_counterexamples, verify_two_box_base_case
 
 
@@ -19,7 +23,7 @@ SMALL = {
     "single_crossing": {"trials": 30},
     "normalization_shift": {"trials": 8},
     "counterexamples": {},
-    "mc_consistency": {"pairs": 3, "episodes": 20000},
+    "mc_consistency": {"trials": 3, "episodes": 20000},
 }
 
 
@@ -51,11 +55,14 @@ def test_failure_records_are_replayable():
     # force a failure by shrinking the claim's tolerance: run the MC suite
     # with far too few episodes for its 3-sigma bound to be meaningful is
     # still likely to pass, so instead check the record format directly
-    from jss.verify import VerificationReport, _fail
+    from jss.verify import _Trials
     from jss import example_pair
 
-    rep = VerificationReport(claim="format probe", trials=1)
-    _fail(rep, 3, 110, example_pair("1/2"), "probe", extra=7)
+    t = _Trials(claim="format probe", trials=4, seed=107)
+    for k, _ in t:
+        if k == 3:
+            t.fail(example_pair("1/2"), "probe", extra=7)
+    rep = t.done()
     assert rep.status == "falsified"
     entry = rep.failures[0]
     assert entry["trial"] == 3 and entry["seed"] == 110
@@ -80,3 +87,30 @@ def test_run_all_honours_per_suite_overrides():
     results = run_all(**SMALL)
     assert sorted(results) == sorted(SUITES)
     assert all(rep.status == "verified" for rep in results.values())
+
+
+def test_suites_take_only_trials_seed_episodes():
+    for name, fn in SUITES.items():
+        assert set(inspect.signature(fn).parameters) <= {"trials", "seed", "episodes"}, name
+    assert not inspect.signature(reproduce_counterexamples).parameters
+
+
+def test_failure_seeds_replay_their_trial(monkeypatch):
+    # an oracle that is always wrong: every trial and both fixed probes fail
+    real = verify_mod.brute_force_optimal
+
+    def wrong(inst, *args, **kwargs):
+        res = real(inst, *args, **kwargs)
+        flipped = SearchOrder(tuple(reversed(res.best_order.perm)))
+        return dataclasses.replace(res, best_value=res.best_value + 1,
+                                   best_order=flipped, argmax_set=())
+
+    monkeypatch.setattr(verify_mod, "brute_force_optimal", wrong)
+    report = run_suite("no_feedback_index", trials=3, seed=500)
+    assert [(f["trial"], f["seed"]) for f in report.failures] == [
+        (0, 500), (1, 501), (2, 502), (-1, 500), (-2, 500)]
+    # the replay rule: --seed <seed - trial> --trials <trial + 1>
+    last = report.failures[1]
+    replay = run_suite("no_feedback_index", trials=last["trial"] + 1,
+                       seed=last["seed"] - last["trial"])
+    assert replay.failures[last["trial"]] == last
