@@ -32,7 +32,7 @@ from .model import (
     monotone_order,
     parse_number,
 )
-from .sim import empirical_survival, estimate_value
+from .sim import simulate_batch
 from .solver import (
     SolverError,
     belief_grid,
@@ -275,8 +275,7 @@ def cmd_simulate(args) -> int:
     if args.episodes < 1:
         raise UsageError("--episodes must be positive")
     trace = evaluate(inst, order)
-    mean, se = estimate_value(inst, order, args.episodes, args.seed)
-    freqs = empirical_survival(inst, order, args.episodes, args.seed)
+    mean, se, freqs = simulate_batch(inst, order, args.episodes, args.seed)
     exact = float(trace.total)
     lines = [
         f"order: {order.label(inst)}",

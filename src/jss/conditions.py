@@ -244,31 +244,30 @@ def check_globally_bounded_weak_feedback(
                     else max(thresholds) if policy == "max_over_journals"
                     else None)
 
-    best = {"margin": None, "belief": None, "prefix": None, "floor": None}
-    violations = []
-
-    def note(belief, prefix, floor):
-        margin = belief - floor
-        if best["margin"] is None or margin < best["margin"]:
-            best.update(margin=margin, belief=belief,
-                        prefix=tuple(names[i] for i in prefix), floor=floor)
-        if margin < 0 and len(violations) < 5:
-            violations.append({
-                "prefix": tuple(names[i] for i in prefix),
-                "belief": belief,
-                "floor": floor,
-            })
-
+    # Each prefix's margin belief - floor is kept as the integer pair
+    # (bh fd - fn bs, bs fd), with belief bh/bs = H/(H + L) and floor
+    # fn/fd; margins compare by cross-multiplication and Fractions are
+    # built only for what the report shows.
+    floors = {}         # used mask -> (floor, fn, fd)
+    best = None         # (num, den, bh, bs, floor, prefix) of the first minimum
+    violations = []     # (prefix, bh, bs, floor) of the first five negatives
     prefix: list = []
 
     def walk(used, h, l):
-        if policy == "per_remaining":
-            floor = max((thresholds[i] for i in range(n) if not used >> i & 1),
-                        default=Fraction(0))
-        else:
-            floor = global_floor
+        nonlocal best
+        if used not in floors:
+            f = global_floor
+            if f is None:
+                f = max(th for i, th in enumerate(thresholds) if not used >> i & 1)
+            floors[used] = f, f.numerator, f.denominator
+        floor, fn, fd = floors[used]
         # behind a sure acceptance the mass is zero; its belief reads as 1
-        note(Fraction(h, h + l) if h + l else Fraction(1), prefix, floor)
+        bh, bs = (h, h + l) if h + l else (1, 1)
+        num, den = bh * fd - fn * bs, bs * fd
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den, bh, bs, floor, tuple(prefix)
+        if num < 0 and len(violations) < 5:
+            violations.append((tuple(prefix), bh, bs, floor))
         if len(prefix) == n - 1:
             return
         for i in range(n):
@@ -280,17 +279,20 @@ def check_globally_bounded_weak_feedback(
             prefix.pop()
 
     walk(0, h0, l0)
+    num, den, bh, bs, floor, at = best
     return ConditionReport(
         condition="globally_bounded_weak_feedback",
-        passed=best["margin"] >= 0,
-        margin=best["margin"],
-        witnesses=tuple(violations),
+        passed=num >= 0,
+        margin=Fraction(num, den),
+        witnesses=tuple({"prefix": tuple(names[i] for i in p),
+                         "belief": Fraction(h, s), "floor": f}
+                        for p, h, s, f in violations),
         details={
             "policy": policy,
             "thresholds": {nm: th for nm, th in zip(names, thresholds)},
-            "min_belief": best["belief"],
-            "min_belief_prefix": best["prefix"],
-            "floor_at_min": best["floor"],
+            "min_belief": Fraction(bh, bs),
+            "min_belief_prefix": tuple(names[i] for i in at),
+            "floor_at_min": floor,
         },
     )
 

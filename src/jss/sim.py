@@ -7,6 +7,12 @@ draws), with episode i always at lane i.  Blocks are drawn whether or
 not an episode is still alive, so results for a given (instance, order,
 n_episodes, seed) are bit-for-bit reproducible and independent of how
 other episodes resolved.
+
+simulate_batch runs one batch and reads the sample mean, its standard
+error and the survival frequencies off the same draws; estimate_value
+and empirical_survival each run their own batch and apply the same
+reduction, so for one (instance, order, n_episodes, seed) all three
+agree bit for bit.
 """
 from __future__ import annotations
 
@@ -94,6 +100,35 @@ def _payoff_table(inst: Instance, order: SearchOrder) -> np.ndarray:
     return np.array(payoffs, dtype=np.float64)
 
 
+def _mean_stderr(inst: Instance, order: SearchOrder,
+                 accepted_at: np.ndarray) -> tuple[float, Optional[float]]:
+    payoffs = _payoff_table(inst, order)[accepted_at]
+    mean = float(payoffs.mean())
+    if len(accepted_at) < 2:
+        return mean, None
+    return mean, float(payoffs.std(ddof=1) / sqrt(len(accepted_at)))
+
+
+def _survival(periods: int, accepted_at: np.ndarray) -> np.ndarray:
+    freqs = np.empty(periods + 1, dtype=np.float64)
+    never = accepted_at == 0
+    for t in range(periods + 1):
+        freqs[t] = np.mean(never | (accepted_at > t))
+    return freqs
+
+
+def simulate_batch(inst: Instance, order: SearchOrder, n_episodes: int,
+                   seed: int = 0) -> tuple[float, Optional[float], np.ndarray]:
+    """(mean, stderr, survival) from one batch of episodes.
+
+    Equal bit for bit to estimate_value's pair and empirical_survival's
+    array at the same arguments, at the cost of one batch instead of two.
+    """
+    accepted_at = _run_batch(inst, order, n_episodes, seed)
+    mean, se = _mean_stderr(inst, order, accepted_at)
+    return mean, se, _survival(len(order.perm), accepted_at)
+
+
 def estimate_value(inst: Instance, order: SearchOrder, n_episodes: int,
                    seed: int = 0) -> tuple[float, Optional[float]]:
     """Sample mean of the realized payoff and its standard error.
@@ -101,12 +136,7 @@ def estimate_value(inst: Instance, order: SearchOrder, n_episodes: int,
     The standard error uses the ddof=1 sample variance; with a single
     episode it is None.
     """
-    accepted_at = _run_batch(inst, order, n_episodes, seed)
-    payoffs = _payoff_table(inst, order)[accepted_at]
-    mean = float(payoffs.mean())
-    if n_episodes < 2:
-        return mean, None
-    return mean, float(payoffs.std(ddof=1) / sqrt(n_episodes))
+    return _mean_stderr(inst, order, _run_batch(inst, order, n_episodes, seed))
 
 
 def empirical_survival(inst: Instance, order: SearchOrder, n_episodes: int,
@@ -116,13 +146,7 @@ def empirical_survival(inst: Instance, order: SearchOrder, n_episodes: int,
     Entry 0 is always 1; entry I is the never-accepted frequency.  Mirrors
     the reach column of evaluate()'s trace.
     """
-    accepted_at = _run_batch(inst, order, n_episodes, seed)
-    periods = len(order.perm)
-    freqs = np.empty(periods + 1, dtype=np.float64)
-    never = accepted_at == 0
-    for t in range(periods + 1):
-        freqs[t] = np.mean(never | (accepted_at > t))
-    return freqs
+    return _survival(len(order.perm), _run_batch(inst, order, n_episodes, seed))
 
 
 def conditional_acceptance(inst: Instance, order: SearchOrder, n_episodes: int,

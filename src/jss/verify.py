@@ -11,7 +11,12 @@ at the base seed.
 
 Every suite takes `trials` and `seed`, except `reproduce_counterexamples`,
 which replays the fixed catalog and takes neither.  `verify_mc_consistency`
-also takes `episodes`; its trials are Monte Carlo runs.
+also takes `episodes`; its trials are Monte Carlo runs.  Each run compares
+its mean and its I + 1 survival frequencies with exact evaluation, all M
+comparisons of a call at the Bonferroni bound
+z* = NormalDist().inv_cdf(1 - 0.01 / (2 M)); a run that trips is retried
+once on a fresh seed, so a correct simulator is falsified with
+probability at most 1e-4 per call.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from statistics import NormalDist
 
 from . import _engine
 from .catalog import BY_NAME, CASES
@@ -51,8 +57,12 @@ from .model import (
     normalize,
     update_belief,
 )
-from .sim import empirical_survival, estimate_value
+from .sim import simulate_batch
 from .solver import brute_force_optimal, prior_threshold_2box, subset_dp_optimal
+
+
+# Family-wise false-alarm rate of one mc_consistency call's first attempts.
+MC_ALPHA = 0.01
 
 
 @dataclass
@@ -648,12 +658,26 @@ def reproduce_counterexamples() -> VerificationReport:
 
 def verify_mc_consistency(trials: int = 20, seed: int = 109,
                           episodes: int = 10 ** 6) -> VerificationReport:
-    """Monte Carlo means sit within 3 standard errors of the exact value
-    and per-period survival frequencies within 3 binomial sigmas.  A
-    failing run is retried once on a fresh seed (a 3-sigma bound fails by
-    chance roughly once in 370 runs)."""
+    """Monte Carlo means and per-period survival frequencies agree with
+    exact evaluation.
+
+    A run over I journals makes I + 2 comparisons: its mean against the
+    exact value in standard errors, and each of its I + 1 survival
+    frequencies against the exact reach in binomial sigmas.  With M
+    comparisons over all runs of the call, each must stay within
+
+        z* = NormalDist().inv_cdf(1 - MC_ALPHA / (2 M)),   MC_ALPHA = 0.01,
+
+    so by the union bound a correct simulator trips some comparison on
+    the call's first attempts with probability at most 0.01 (z* is about
+    3.9 at the default 20 runs, 4.05 at 40).  A run that trips is retried
+    once on a fresh seed and is falsified only if both attempts trip, so
+    a call falsifies a correct simulator with probability at most
+    0.01**2 = 1e-4.  A comparison with zero sigma must match exactly; a
+    note gives z* and M."""
     t = _Trials(
-        claim="simulation agrees with exact evaluation within 3 sigma",
+        claim="simulation agrees with exact evaluation within a z bound "
+              f"with family-wise false-alarm rate {MC_ALPHA}",
         trials=trials, seed=seed)
     runs = []
     showcase = BY_NAME["strong_feedback_showcase"]
@@ -669,25 +693,27 @@ def verify_mc_consistency(trials: int = 20, seed: int = 109,
         rng.shuffle(perm)
         runs.append((inst, SearchOrder(tuple(perm))))
         k += 1
+    comparisons = max(1, sum(inst.size + 2 for inst, _ in runs[:trials]))
+    z_star = NormalDist().inv_cdf(1 - MC_ALPHA / (2 * comparisons))
+    t.note(f"bound: {z_star:.2f} sigma over {comparisons} comparisons")
 
     def within(inst, order, run_seed):
         trace = evaluate(inst, order)
         target = float(trace.total)
-        mean, se = estimate_value(inst, order, episodes, run_seed)
+        mean, se, freqs = simulate_batch(inst, order, episodes, run_seed)
         if se is None or se == 0:
             if abs(mean - target) > 1e-12:
                 return f"degenerate payoff mismatch: {mean} vs {target}"
-        elif abs(mean - target) > 3 * se:
+        elif abs(mean - target) > z_star * se:
             return (f"mean {mean:.6f} vs exact {target:.6f} "
                     f"(|z| = {abs(mean - target) / se:.2f})")
-        freqs = empirical_survival(inst, order, episodes, run_seed)
         for period, (freq, r) in enumerate(zip(freqs, trace.reach)):
             p = float(r)
             sigma = (p * (1 - p) / episodes) ** 0.5
             if sigma == 0:
                 if freq != p:
                     return f"survival at period {period + 1}: {freq} vs certain {p}"
-            elif abs(freq - p) > 3 * sigma:
+            elif abs(freq - p) > z_star * sigma:
                 return (f"survival at period {period + 1}: {freq:.6f} vs {p:.6f} "
                         f"(|z| = {abs(freq - p) / sigma:.2f})")
         return None
@@ -699,8 +725,8 @@ def verify_mc_consistency(trials: int = 20, seed: int = 109,
             retry = within(inst, order, t.seed_of(i) + 7777)
             if retry is None:
                 t.note(
-                    f"run {i} tripped the 3-sigma bound ({msg}) and passed on "
-                    "a fresh seed; kept")
+                    f"run {i} tripped the {z_star:.2f}-sigma bound ({msg}) and "
+                    "passed on a fresh seed; kept")
             else:
                 t.fail(inst, f"simulation off twice: {retry}", order=list(order.perm))
     return t.done()

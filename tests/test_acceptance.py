@@ -117,4 +117,4 @@ def test_criterion_09_normalization_invariance(capsys):
 def test_criterion_10_monte_carlo_consistency(capsys):
     _run(capsys, 10, "mc_consistency", 120.0,
          "million-episode simulations of value and survival stay within "
-         "3 sigma of exact evaluation")
+         "the Bonferroni z bound of exact evaluation")

@@ -1,5 +1,6 @@
 """Structural checks: regularity variants, commuting belief updates,
 reachable-belief floors, and the good-news region of a single rejection."""
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from jss import (
     ConditionError,
     Instance,
     Journal,
+    _engine,
     check_globally_bounded_weak_feedback,
     check_order_independence,
     check_regularity,
@@ -17,6 +19,8 @@ from jss import (
     feedback_threshold,
 )
 from jss.catalog import BY_NAME
+from jss.conditions import GBWF_POLICIES, ConditionReport
+from jss.generators import SAMPLERS
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +198,86 @@ def test_floor_check_guards():
     )
     with pytest.raises(ConditionError):
         check_globally_bounded_weak_feedback(many)
+
+
+def _reference_floor_check(inst, policy):
+    """The floor walk on Fraction beliefs, one per prefix: the reference
+    the integer cross-product walk must reproduce report for report."""
+    n = inst.size
+    boxes, (h0, l0), _ = _engine.prepare(inst)
+    thresholds = [feedback_threshold(j) for j in inst.journals]
+    names = inst.journal_names()
+    global_floor = (thresholds[0] if policy == "box1"
+                    else max(thresholds) if policy == "max_over_journals"
+                    else None)
+
+    best = {"margin": None, "belief": None, "prefix": None, "floor": None}
+    violations = []
+
+    def note(belief, prefix, floor):
+        margin = belief - floor
+        if best["margin"] is None or margin < best["margin"]:
+            best.update(margin=margin, belief=belief,
+                        prefix=tuple(names[i] for i in prefix), floor=floor)
+        if margin < 0 and len(violations) < 5:
+            violations.append({
+                "prefix": tuple(names[i] for i in prefix),
+                "belief": belief,
+                "floor": floor,
+            })
+
+    prefix: list = []
+
+    def walk(used, h, l):
+        if policy == "per_remaining":
+            floor = max((thresholds[i] for i in range(n) if not used >> i & 1),
+                        default=F(0))
+        else:
+            floor = global_floor
+        note(F(h, h + l) if h + l else F(1), prefix, floor)
+        if len(prefix) == n - 1:
+            return
+        for i in range(n):
+            if used >> i & 1:
+                continue
+            nh, nl, _ = _engine.step(boxes[i], h, l, 0)
+            prefix.append(i)
+            walk(used | (1 << i), nh, nl)
+            prefix.pop()
+
+    walk(0, h0, l0)
+    return ConditionReport(
+        condition="globally_bounded_weak_feedback",
+        passed=best["margin"] >= 0,
+        margin=best["margin"],
+        witnesses=tuple(violations),
+        details={
+            "policy": policy,
+            "thresholds": {nm: th for nm, th in zip(names, thresholds)},
+            "min_belief": best["belief"],
+            "min_belief_prefix": best["prefix"],
+            "floor_at_min": best["floor"],
+        },
+    )
+
+
+@pytest.mark.parametrize("family", sorted(SAMPLERS))
+def test_floor_check_matches_fraction_reference(family):
+    # every policy at priors 0, 1 and the family's drawn prior, I = 2..6
+    # (regular_2box always draws two journals)
+    reports = 0
+    for n in range(2, 7):
+        for seed in range(4):
+            drawn = SAMPLERS[family](random.Random(1000 * n + seed), n)
+            for prior in (F(0), F(1), drawn.prior.mu_h):
+                inst = drawn.with_prior(prior)
+                for policy in GBWF_POLICIES:
+                    got = check_globally_bounded_weak_feedback(inst, policy)
+                    want = _reference_floor_check(inst, policy)
+                    assert got.passed == want.passed
+                    assert got.to_dict() == want.to_dict(), (family, n, seed, prior, policy)
+                    reports += 1
+    assert reports == 5 * 4 * 3 * 3
 
 
 # ---------------------------------------------------------------------------

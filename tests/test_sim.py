@@ -1,6 +1,8 @@
 """Monte Carlo driver: determinism, agreement with exact evaluation,
 and honest cost accounting on the realized-payoff path."""
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,8 +18,10 @@ from jss import (
     estimate_value,
     evaluate,
     example_pair,
+    simulate_batch,
     simulate_episode,
 )
+from jss.generators import sample_unconstrained
 
 
 @pytest.fixture
@@ -35,6 +39,26 @@ def test_same_seed_is_bit_identical(pair):
     sa = empirical_survival(pair, ORDER, 5000, seed=7)
     sb = empirical_survival(pair, ORDER, 5000, seed=7)
     assert np.array_equal(sa, sb)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_one_batch_matches_the_separate_estimates(size):
+    rng = random.Random(size)
+    inst = sample_unconstrained(rng, size)
+    # a sure acceptance (a = 1) and a journal without feedback (q = 0)
+    js = list(inst.journals)
+    js[0] = replace(js[0], a=F(1))
+    js[-1] = replace(js[-1], q=F(0))
+    inst = Instance(tuple(js), inst.prior, inst.outside_option)
+    perm = list(range(size))
+    rng.shuffle(perm)
+    order = SearchOrder(tuple(perm))
+    for n in (1, 2, 5000):
+        seed = rng.randrange(2 ** 32)
+        mean, se, freqs = simulate_batch(inst, order, n, seed)
+        assert (mean, se) == estimate_value(inst, order, n, seed)
+        assert np.array_equal(freqs, empirical_survival(inst, order, n, seed))
+        assert (se is None) == (n == 1)
 
 
 def test_different_seeds_differ(pair):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import jss.sim as sim_mod
 import jss.verify as verify_mod
 from jss import SUITES, run_all, run_suite
 from jss.model import SearchOrder
@@ -53,7 +54,7 @@ def test_report_round_trips_through_json():
 
 def test_failure_records_are_replayable():
     # force a failure by shrinking the claim's tolerance: run the MC suite
-    # with far too few episodes for its 3-sigma bound to be meaningful is
+    # with far too few episodes for its z bound to be meaningful is
     # still likely to pass, so instead check the record format directly
     from jss.verify import _Trials
     from jss import example_pair
@@ -114,3 +115,24 @@ def test_failure_seeds_replay_their_trial(monkeypatch):
     replay = run_suite("no_feedback_index", trials=last["trial"] + 1,
                        seed=last["seed"] - last["trial"])
     assert replay.failures[last["trial"]] == last
+
+
+@pytest.mark.parametrize("seed", [614689, 750074])
+def test_mc_consistency_bound_clears_chance_misses(seed):
+    # a fixed 3-sigma bound falsified both seeds by chance (|z| 3.03 and
+    # 4.28 on the retry); the bound over all of a call's comparisons does not
+    report = run_suite("mc_consistency", trials=40, seed=seed, episodes=100000)
+    assert report.status == "verified", report.text()
+
+
+def test_mc_consistency_catches_double_charged_cost(monkeypatch):
+    real = sim_mod._payoff_table
+
+    def double_first_cost(inst, order):
+        # the first journal's cost is charged twice on every path
+        return real(inst, order) - float(inst.journals[order.perm[0]].c)
+
+    monkeypatch.setattr(sim_mod, "_payoff_table", double_first_cost)
+    report = run_suite("mc_consistency")
+    assert report.status == "falsified"
+    assert all("simulation off twice: mean" in f["message"] for f in report.failures)
