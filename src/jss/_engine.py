@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import permutations, product
 from math import lcm
 
 # Float values within this much (relative to max(1, |best|)) of the best
@@ -90,11 +91,12 @@ def tie_slack(best, tol):
 
 
 def best_orders(inst, first: int | None = None):
-    """Exhaustive exact optimum over the permutation tree.
+    """Exhaustive exact optimum over the canonical orders (see _walk).
 
-    Returns (best value as Fraction, argmax perms in lexicographic
-    order).  `first` pins the first submission, which is how the
-    parallel driver slices the tree.
+    Returns (best value as Fraction, canonical argmax perms in
+    lexicographic order, classes); expand(perms, classes) lists the whole
+    argmax set.  `first` pins the first submission, which is how the
+    parallel driver slices the tree; pin only the first member of a class.
     """
     return _walk(prepare(inst), first, 0)
 
@@ -104,13 +106,57 @@ def best_orders_float(inst, first: int | None = None, tol: float = FLOAT_TIE_TOL
     return _walk(prepare_float(inst), first, tol)
 
 
+def classes(boxes):
+    """Journal i's class of interchangeable journals, named by its first
+    member: journals with equal boxes give the same arithmetic in either
+    order."""
+    first = {}
+    return tuple(first.setdefault(box, i) for i, box in enumerate(boxes))
+
+
+def expand(perms, cls):
+    """Every order that relabels a canonical perm within its classes, in
+    lexicographic order."""
+    n = len(cls)
+    members: dict = {}
+    for i, r in enumerate(cls):
+        members.setdefault(r, []).append(i)
+    groups = [g for g in members.values() if len(g) > 1]
+    if not groups or not perms:
+        return list(perms)
+    if len(groups[0]) == n:     # one class: the identity is its only canonical order
+        return list(permutations(range(n)))
+    relabels = []
+    for choice in product(*(permutations(g) for g in groups)):
+        to = list(range(n))
+        for g, image in zip(groups, choice):
+            for i, j in zip(g, image):
+                to[i] = j
+        relabels.append(to.__getitem__)
+    return sorted(tuple(map(to, p)) for p in perms for to in relabels)
+
+
 def _walk(kernel, first, tol):
-    """Walk every order once per shared prefix (about e * I! steps instead
-    of I * I!) and keep the totals that tie with the best."""
+    """Walk every canonical order once per shared prefix (about e * I!
+    steps for distinct journals) and keep the totals that tie with the best.
+
+    An order is canonical when each class's members appear in index
+    order: journal i is free only once the previous member of its class
+    is used.  A canonical order is the lexicographically first of its
+    relabellings, whose totals are equal, so the relabellings the walk
+    skips would never have moved the best or its tie slack.
+    """
     boxes, (h0, l0), (o, finish) = kernel
     n = len(boxes)
     full = (1 << n) - 1
-    free = [[i for i in range(n) if not used >> i & 1] for used in range(full + 1)]
+    cls = classes(boxes)
+    last = {}
+    after = []      # bit of the previous member of journal i's class, or 0
+    for i, r in enumerate(cls):
+        after.append(last.get(r, 0))
+        last[r] = 1 << i
+    free = [[i for i in range(n) if used & (1 << i | after[i]) == after[i]]
+            for used in range(full + 1)]
     top = [None, 0]     # best total so far and its tie slack
     found: list = []    # (perm, total) pairs within the slack of the best
     perm: list = []
@@ -139,4 +185,4 @@ def _walk(kernel, first, tol):
         perm.append(first)
         walk(1 << first, *step(boxes[first], h0, l0, 0))
     best, slack = top
-    return finish(best), sorted(p for p, t in found if t >= best - slack)
+    return finish(best), sorted(p for p, t in found if t >= best - slack), cls

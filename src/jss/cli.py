@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -73,9 +74,41 @@ def _load(args) -> Instance:
     return inst
 
 
+class _Encoded(str):
+    """A payload value already encoded as JSON, indented for a top-level key."""
+
+
+def _dumps(payload: dict) -> str:
+    """json.dumps(_jsonable(payload), indent=2), byte for byte, for a
+    non-empty payload, with each _Encoded value spliced in as it is.  The
+    encoder escapes newlines inside strings, so indenting every line of a
+    value's own encoding nests it one level down."""
+    items = []
+    for key, value in payload.items():
+        if not isinstance(value, _Encoded):
+            value = json.dumps(_jsonable(value), indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _name_lists(names, perms) -> _Encoded:
+    """The JSON list of each perm's journal names, at a top-level key.
+    There is at least one perm, and all share one length, at least 1.
+    The text is joined from one flat list: each name is followed by the
+    separator the encoder puts after it, which closes the row after a
+    row's last name."""
+    quoted = [json.dumps(name) for name in names]
+    n = len(perms[0])
+    parts = [",\n      "] * (2 * n * len(perms))
+    parts[::2] = map(quoted.__getitem__, itertools.chain.from_iterable(perms))
+    parts[2 * n - 1::2 * n] = ["\n    ],\n    [\n      "] * len(perms)
+    parts[-1] = "\n    ]\n  ]"
+    return _Encoded("[\n    [\n      " + "".join(parts))
+
+
 def _emit(args, text_lines, payload):
     if getattr(args, "json", False):
-        out = json.dumps(_jsonable(payload), indent=2)
+        out = _dumps(payload)
     else:
         out = "\n".join(text_lines)
     if getattr(args, "out", None):
@@ -171,10 +204,11 @@ def cmd_solve(args) -> int:
     else:
         res = pairwise_swap_local_search(inst, mode=args.mode)
     names = inst.journal_names()
-    lines = [
-        f"instance: {len(names)} journals, prior {format_number(parse_number(inst.prior.mu_h))}",
-        res.describe(inst),
-    ]
+    if not args.json:
+        _emit(args, [f"instance: {len(names)} journals, "
+                     f"prior {format_number(parse_number(inst.prior.mu_h))}",
+                     res.describe(inst)], None)
+        return 0
     payload = {
         "instance": dump_instance(inst),
         "method": res.method,
@@ -182,10 +216,10 @@ def cmd_solve(args) -> int:
         "best_order_positions": list(res.best_order.perm),
         "best_value": res.best_value,
         "best_value_float": float(res.best_value),
-        "argmax": [[names[i] for i in o.perm] for o in res.argmax_set],
+        "argmax": _name_lists(names, res.argmax_set.perms),
         "details": res.details,
     }
-    _emit(args, lines, payload)
+    _emit(args, None, payload)
     return 0
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +22,7 @@ from .model import (
     Instance,
     Journal,
     ModelError,
+    Orders,
     SearchOrder,
     check_order,
     evaluate,
@@ -30,6 +33,7 @@ from .model import (
 
 BRUTE_FORCE_CAP = 10
 ARGMAX_ENUM_CAP = 20000
+ARGMAX_LIMIT = math.factorial(9)    # most orders brute force lists as its argmax set
 
 
 class SolverError(ModelError):
@@ -40,16 +44,18 @@ class SolverError(ModelError):
 class SolveResult:
     best_order: SearchOrder
     best_value: object
-    argmax_set: tuple[SearchOrder, ...]
+    argmax_set: Orders
     method: str
     details: dict = field(default_factory=dict, compare=False)
 
     def describe(self, inst: Instance) -> str:
+        names = inst.journal_names()
         lines = [
             f"method: {self.method}",
             f"best order: {self.best_order.label(inst)}",
             f"best value: {_show(self.best_value)}",
-            "argmax set: " + ", ".join(o.label(inst) for o in self.argmax_set),
+            "argmax set: " + ", ".join(" > ".join(map(names.__getitem__, p))
+                                       for p in self.argmax_set.perms),
         ]
         return "\n".join(lines)
 
@@ -65,9 +71,12 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     """Exhaustive optimum over all I! orders (cap I <= 10).
 
     Walks the permutation tree once so shared prefixes are evaluated
-    once.  threads > 1 splits the tree by first submission across
-    processes; results are merged exactly, so the answer does not depend
-    on the thread count.
+    once.  Journals with equal kernel boxes are interchangeable: the walk
+    visits one canonical order per relabelling of them and the argmax
+    set is expanded afterwards, so a set over ARGMAX_LIMIT orders raises
+    SolverError before it is built.  threads > 1 splits the tree by the
+    first member of each class across processes; results are merged
+    exactly, so the answer does not depend on the thread count.
     """
     n = inst.size
     if n > BRUTE_FORCE_CAP:
@@ -79,16 +88,26 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     if mode not in ("exact", "float"):
         raise SolverError(f"mode must be 'exact' or 'float', got {mode!r}")
 
-    if threads > 1 and n >= 2:
-        with ProcessPoolExecutor(max_workers=min(threads, n)) as pool:
-            results = list(pool.map(_search, [inst] * n, [mode] * n, range(n)))
-        best = max(v for v, _ in results)
+    firsts = _class_firsts(inst, mode) if threads > 1 else ()
+    if len(firsts) > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(firsts))) as pool:
+            results = list(pool.map(_search, [inst] * len(firsts), [mode] * len(firsts),
+                                    firsts))
+        best = max(v for v, _, _ in results)
         slack = _engine.tie_slack(best, _tie_tol(mode))
-        argmax = sorted(p for v, perms in results if v >= best - slack for p in perms)
+        canonical = sorted(p for v, perms, _ in results if v >= best - slack for p in perms)
+        cls = results[0][2]
     else:
-        best, argmax = _search(inst, mode)
+        best, canonical, cls = _search(inst, mode)
 
-    orders = tuple(SearchOrder(p) for p in argmax)
+    # each canonical order stands for the product of its class sizes' factorials
+    size = len(canonical) * math.prod(map(math.factorial, Counter(cls).values()))
+    if size > ARGMAX_LIMIT:
+        raise SolverError(
+            f"the argmax set has {size} orders, over the limit of {ARGMAX_LIMIT} "
+            "(9!) that brute force lists"
+        )
+    orders = Orders(_engine.expand(canonical, cls))
     return SolveResult(
         best_order=orders[0],
         best_value=best,
@@ -99,11 +118,18 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
 
 
 def _search(inst: Instance, mode: str, first: Optional[int] = None):
-    """(best value, argmax perms) over all orders, or over those that
-    start with `first`."""
+    """(best value, canonical argmax perms, classes) over all orders, or
+    over those that start with `first`."""
     if mode == "exact":
         return _engine.best_orders(inst, first=first)
     return _engine.best_orders_float(inst, first=first, tol=FLOAT_TIE_TOL)
+
+
+def _class_firsts(inst: Instance, mode: str) -> list[int]:
+    """The first member of each class of interchangeable journals: one
+    slice of the tree each for the parallel driver."""
+    prepare = _engine.prepare if mode == "exact" else _engine.prepare_float
+    return sorted(set(_engine.classes(prepare(inst)[0])))
 
 
 def _tie_tol(mode: str):
@@ -155,10 +181,10 @@ def index_order_no_feedback(inst: Instance) -> SolveResult:
             count *= m
     truncated = count > 1000
     if truncated:
-        argmax = (order,)
+        argmax = Orders((order.perm,))
     else:
-        argmax = tuple(
-            SearchOrder(tuple(itertools.chain.from_iterable(combo)))
+        argmax = Orders(
+            tuple(itertools.chain.from_iterable(combo))
             for combo in itertools.product(*(itertools.permutations(g) for g in groups))
         )
     return SolveResult(
@@ -243,7 +269,7 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
             truncated = True
             return
         if s == full:
-            argmax.append(SearchOrder(tuple(acc)))
+            argmax.append(tuple(acc))
             return
         for i in best_moves[s]:
             acc.append(i)
@@ -254,7 +280,7 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     return SolveResult(
         best_order=order,
         best_value=finish(value[0]),
-        argmax_set=tuple(argmax),
+        argmax_set=Orders(argmax),
         method="subset_dp",
         details={"states": 1 << n, "argmax_truncated": truncated},
     )
@@ -289,7 +315,7 @@ def pairwise_swap_local_search(inst: Instance, start: Optional[SearchOrder] = No
     return SolveResult(
         best_order=final,
         best_value=current,
-        argmax_set=(final,),
+        argmax_set=Orders((final.perm,)),
         method="local_search",
         details={"sweeps": sweeps, "swaps": swaps, "certified_global": False},
     )

@@ -74,6 +74,81 @@ def test_jss_threads_env(pair_file, capsys, monkeypatch):
     assert "JSS_THREADS" in capsys.readouterr().err
 
 
+# Names the JSON encoder must escape: a quote, a backslash, a newline
+# and non-ASCII text (ensure_ascii writes \\u escapes).
+AWKWARD = ('Q"uote', "back\\slash", "new\nline", "Revue d\u00e9j\u00e0", "\u65e5\u672c")
+
+
+def _awkward(rates, prior="1/2"):
+    from jss import Belief, Instance, Journal
+
+    return Instance(tuple(Journal(f"{AWKWARD[k % len(AWKWARD)]}{k}", u, a, q, c)
+                          for k, (u, a, q, c) in enumerate(rates)), Belief(prior))
+
+
+def _generic_solve_json(inst, res) -> str:
+    """The solve payload through the plain encoder, names listed order by order."""
+    from fractions import Fraction
+
+    from jss import dump_instance, format_number
+
+    names = inst.journal_names()
+    value = res.best_value
+    return json.dumps({
+        "instance": dump_instance(inst),
+        "method": res.method,
+        "best_order": [names[i] for i in res.best_order.perm],
+        "best_order_positions": list(res.best_order.perm),
+        "best_value": format_number(value) if isinstance(value, Fraction) else value,
+        "best_value_float": float(value),
+        "argmax": [[names[i] for i in o.perm] for o in res.argmax_set],
+        "details": res.details,
+    }, indent=2)
+
+
+@pytest.mark.parametrize("rates", [
+    [(2, "1/3", "1/5", "1/10")] * 6,                                  # one class
+    [(3 - k // 2, "1/4", "1/8", 0) for k in range(6)],                # identical pairs
+    [(5 - k, "1/2", "1/6", "1/10") for k in range(4)],                # distinct
+], ids=["identical", "pairs", "distinct"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_json_matches_the_plain_encoder(rates, mode, tmp_path, capsys):
+    from jss import brute_force_optimal, save_instance
+
+    inst = _awkward(rates)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    assert main(["solve", "-i", str(path), "--json", "--mode", mode]) == 0
+    out = capsys.readouterr().out
+    res = brute_force_optimal(inst, mode=mode)
+    assert out == _generic_solve_json(inst, res) + "\n"
+
+    assert main(["solve", "-i", str(path), "--mode", mode]) == 0
+    labels = ", ".join(o.label(inst) for o in res.argmax_set)
+    assert capsys.readouterr().out.endswith("\nargmax set: " + labels + "\n")
+
+
+def test_name_lists_match_the_plain_encoder():
+    from jss.cli import _dumps, _name_lists
+
+    for perms in ([(0,)], [(1, 0), (0, 1)], [(2, 0, 4, 1, 3)]):
+        payload = {"argmax": [[AWKWARD[i] for i in p] for p in perms], "n": 1}
+        spliced = dict(payload, argmax=_name_lists(AWKWARD, perms))
+        assert _dumps(spliced) == json.dumps(payload, indent=2)
+
+
+def test_argmax_limit_exits_2_fast(tmp_path, capsys):
+    import time
+
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps({"journals": [{"u": "2", "a": "1/3", "q": "1/5"}] * 10,
+                                "prior_h": "1/2"}))
+    t0 = time.perf_counter()
+    assert main(["solve", "-i", str(path), "--json"]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "over the limit of 362880 (9!)" in capsys.readouterr().err
+
+
 def test_check_summaries(pair_file, capsys):
     assert main(["check", "-i", pair_file, "--prior", "9/10"]) == 0
     out = capsys.readouterr().out

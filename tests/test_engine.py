@@ -5,12 +5,16 @@ feedback (q = 0), priors 0 and 1, negative payoffs, costs and a nonzero
 outside option.  Every order's kernel value must equal evaluate()'s
 exactly (within 1e-12 in float mode), and both walkers must return
 evaluate()'s maximisers.
+
+Instances with interchangeable journals (equal kernel boxes) pin the
+class walk, which visits one canonical order per relabelling and expands
+the argmax set afterwards, against a full walk over every order.
 """
 import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jss import Belief, Instance, Journal, SearchOrder, evaluate
@@ -24,14 +28,13 @@ def _fractions(lo, hi, den=12):
 
 
 unit = st.one_of(st.sampled_from([F(0), F(1)]), _fractions(0, 1))
-journal = st.builds(
-    Journal,
-    name=st.just("J"),
-    u=_fractions(-3, 10),
-    a=unit,
-    q=st.one_of(st.just(F(0)), _fractions(0, F(11, 12))),
-    c=st.one_of(st.just(F(0)), _fractions(0, 2)),
-)
+FIELDS = {
+    "u": _fractions(-3, 10),
+    "a": unit,
+    "q": st.one_of(st.just(F(0)), _fractions(0, F(11, 12))),
+    "c": st.one_of(st.just(F(0)), _fractions(0, 2)),
+}
+journal = st.builds(Journal, name=st.just("J"), **FIELDS)
 instances = st.builds(
     lambda js, prior, outside: Instance(
         tuple(Journal(f"J{k}", j.u, j.a, j.q, j.c) for k, j in enumerate(js)),
@@ -40,6 +43,11 @@ instances = st.builds(
     unit,
     st.one_of(st.just(F(0)), _fractions(-3, 3)),
 )
+
+
+def _expanded(result):
+    best, canonical, cls = result
+    return best, _engine.expand(canonical, cls)
 
 
 def _values(inst):
@@ -65,9 +73,9 @@ def test_walkers_return_the_maximisers_of_evaluate(inst):
     values = _values(inst)
     best = max(values.values())
     maximisers = sorted(p for p, v in values.items() if v == best)
-    assert _engine.best_orders(inst) == (best, maximisers)
+    assert _expanded(_engine.best_orders(inst)) == (best, maximisers)
 
-    fbest, fargmax = _engine.best_orders_float(inst)
+    fbest, fargmax = _expanded(_engine.best_orders_float(inst))
     assert fbest == pytest.approx(float(best), rel=FLOAT_RTOL, abs=FLOAT_RTOL)
     # float ties may only admit orders whose exact value is within the
     # tolerance of the best; every exact maximiser must be among them
@@ -75,3 +83,93 @@ def test_walkers_return_the_maximisers_of_evaluate(inst):
     slack = 2 * FLOAT_RTOL * max(1, abs(best))
     assert all(values[p] >= best - slack for p in fargmax)
 
+
+
+def _full_walk(kernel, tol):
+    """Reference walk over every order, without the class restriction."""
+    boxes, (h0, l0), (o, finish) = kernel
+    n = len(boxes)
+    full = (1 << n) - 1
+    free = [[i for i in range(n) if not used >> i & 1] for used in range(full + 1)]
+    top = [None, 0]
+    found: list = []
+    perm: list = []
+
+    def leaf(total):
+        best, slack = top
+        if best is None or total > best + slack:
+            top[:] = total, _engine.tie_slack(total, tol)
+            found[:] = [(p, t) for p, t in found if t >= total - top[1]]
+            found.append((tuple(perm), total))
+        elif total >= best - slack:
+            found.append((tuple(perm), total))
+
+    def walk(used, h, l, v):
+        if used == full:
+            leaf(v + o * (h + l))
+            return
+        for i in free[used]:
+            perm.append(i)
+            walk(used | 1 << i, *_engine.step(boxes[i], h, l, v))
+            perm.pop()
+
+    walk(0, h0, l0, 0)
+    best, slack = top
+    return finish(best), sorted(p for p, t in found if t >= best - slack)
+
+
+# A rate this far from another is a different Fraction but the same float.
+TINY = F(1, 10 ** 30)
+
+
+@st.composite
+def duplicated(draw):
+    """Up to seven journals copied from up to three templates.  A copy may
+    redraw one field, so it differs from its template in that field alone
+    (a copy of a journal with a = 0 that redraws u keeps an equal box), or
+    move a by TINY (equal float boxes, different exact ones)."""
+    templates = draw(st.lists(journal, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=7))
+    js = []
+    for k, t in enumerate(picks):
+        fields = {f: getattr(templates[t], f) for f in FIELDS}
+        change = draw(st.sampled_from(["", "", "tiny", *FIELDS]))
+        if change == "tiny" and 0 < fields["a"] < 1:
+            fields["a"] += TINY
+        elif change in FIELDS:
+            fields[change] = draw(FIELDS[change])
+        js.append(Journal(f"J{k}", **fields))
+    prior = draw(unit)
+    outside = draw(st.one_of(st.just(F(0)), _fractions(-3, 3)))
+    return Instance(tuple(js), Belief(prior), outside)
+
+
+def _copies(n, u, a, q, c=0, prior=F(1, 2), outside=0, us=None):
+    us = us or [u] * n
+    return Instance(tuple(Journal(f"J{k}", us[k], a, q, c) for k in range(n)),
+                    Belief(prior), outside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=duplicated())
+@example(inst=_copies(5, 0, 0, F(1, 3), c=F(1, 4), us=[5, 4, 3, 2, 1]))    # a = 0
+@example(inst=_copies(6, 3, 1, 0, c=F(1, 2)))                               # a = 1, q = 0
+@example(inst=_copies(6, 2, F(1, 3), F(1, 5), prior=0, outside=F(1, 2)))
+@example(inst=_copies(6, 2, F(1, 3), F(1, 5), prior=1, outside=-1))
+@example(inst=Instance(tuple(Journal(f"J{k}", 2, F(1, 3) + TINY * (k % 2), F(1, 5))
+                             for k in range(6)), Belief(F(2, 3))))
+def test_class_walk_matches_the_full_walk(inst):
+    for prepare, walker, tol in ((_engine.prepare, _engine.best_orders, 0),
+                                 (_engine.prepare_float, _engine.best_orders_float,
+                                  _engine.FLOAT_TIE_TOL)):
+        assert _expanded(walker(inst)) == _full_walk(prepare(inst), tol)
+
+
+def test_classes_follow_equal_boxes():
+    inst = Instance((Journal("A", 3, F(1, 3) + TINY, F(1, 5)), Journal("B", 3, F(1, 3), F(1, 5)),
+                     Journal("C", 1, 0, F(1, 5)), Journal("D", 0, 0, F(1, 5))),
+                    Belief(F(1, 2)))
+    assert _engine.classes(_engine.prepare(inst)[0]) == (0, 1, 2, 2)
+    assert _engine.classes(_engine.prepare_float(inst)[0]) == (0, 0, 2, 2)
+    assert _engine.expand([(0, 2, 1, 3)], (0, 0, 2, 2)) == [
+        (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2)]

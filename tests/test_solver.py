@@ -28,6 +28,7 @@ from jss import (
     value_difference,
 )
 from jss.catalog import BY_NAME
+from jss.model import Orders
 from jss.generators import sample_order_independent
 
 
@@ -80,12 +81,49 @@ def test_brute_force_cap():
         brute_force_optimal(Instance(js, Belief(F(1, 2))))
 
 
+def _identical(n, a=F(1, 3), q=F(1, 5)):
+    return Instance(tuple(Journal(f"J{k}", 2, a, q, F(1, 10)) for k in range(n)),
+                    Belief(F(1, 2)))
+
+
 def test_brute_force_thread_count_does_not_change_answer(pair):
-    inst = pair.with_prior(F(17, 29))
-    solo = brute_force_optimal(inst, threads=1)
-    split = brute_force_optimal(inst, threads=2)
-    assert solo.best_value == split.best_value
-    assert [o.perm for o in solo.argmax_set] == [o.perm for o in split.argmax_set]
+    # the second instance has classes of interchangeable journals: the
+    # split walks one slice per class and expands the merged argmax once
+    mixed = Instance(_identical(3).journals + (Journal("K", 2, F(1, 2), F(1, 7)),)
+                     + tuple(Journal(f"L{k}", 1, F(1, 4), 0) for k in range(2)),
+                     Belief(F(3, 5)))
+    for inst in (pair.with_prior(F(17, 29)), mixed):
+        for mode in ("exact", "float"):
+            solo = brute_force_optimal(inst, mode=mode, threads=1)
+            split = brute_force_optimal(inst, mode=mode, threads=2)
+            assert solo.best_value == split.best_value
+            assert [o.perm for o in solo.argmax_set] == [o.perm for o in split.argmax_set]
+
+
+def test_identical_journals_list_every_order():
+    for mode in ("exact", "float"):
+        res = brute_force_optimal(_identical(8), mode=mode)
+        assert [o.perm for o in res.argmax_set] == list(itertools.permutations(range(8)))
+        assert res.best_order.perm == tuple(range(8))
+
+
+def test_argmax_orders_behave_like_a_tuple_of_orders():
+    perms = [(0, 2, 1), (1, 0, 2), (1, 2, 0)]
+    orders = brute_force_optimal(_identical(3)).argmax_set[1:4]
+    plain = tuple(SearchOrder(p) for p in perms)
+    assert orders == plain and plain == orders
+    lazy = Orders(perms)
+    assert lazy == plain and plain == lazy and lazy == Orders(perms)
+    assert lazy != plain[:2] and lazy != list(plain)
+    assert hash(lazy) == hash(plain)
+    assert len(lazy) == 3 and list(lazy) == list(plain)
+    assert lazy[-1] == plain[-1] and lazy[1:] == plain[1:]
+    assert SearchOrder((1, 0, 2)) in lazy and SearchOrder((0, 1, 2)) not in lazy
+
+
+def test_argmax_set_over_the_limit_fails_fast():
+    with pytest.raises(SolverError, match="362880"):
+        brute_force_optimal(_identical(10))
 
 
 def test_brute_force_float_mode(pair):
