@@ -21,6 +21,8 @@ leaf totals V + O (H + L) share one denominator, E * den(prior) * prod(d),
 and compare as plain ints: exact ties are int equality.  Float mode runs
 the same step with d = 1 and float coefficients.
 
+The walk prunes with a payoff bound that keeps every tie; see _walk.
+
 model.evaluate stays the readable Bayes-form reference; tests pin
 order_value and both walkers against it.
 """
@@ -35,36 +37,49 @@ from math import lcm
 # tie with it; see tie_slack.
 FLOAT_TIE_TOL = 1e-12
 
+# A float walk prunes a subtree only when its bound falls below the tie
+# floor by more than this share of the largest magnitude a value or a
+# bound can reach (see _walk); the rounding of ten float steps is under
+# 1e-12 of it.
+FLOAT_BOUND_ALLOWANCE = 1e-9
+
+# The walk tests its bound only on subtrees with at least this many
+# journals still free; smaller ones are too cheap to repay the test.
+BOUND_MIN_FREE = 3
+
 # A box is the tuple (d, d - A, Q, d - Q, U A, C d) that step() reads;
 # d = 1 in float mode.
 
 def prepare(inst):
     """Exact kernel inputs (boxes, prior mass, outside) for the instance's
-    sorted journals.  outside is (O, finish): finish turns a complete
-    order's total V + O (H + L) into its Fraction value."""
+    sorted journals.  outside is (O, finish, uc): finish turns a complete
+    order's total V + O (H + L) into its Fraction value, and uc holds each
+    journal's payoff and cost (U, C), on the scale E of O."""
     js = inst.journals
     outside = inst.outside_option
     e = lcm(outside.denominator, *(x.denominator for j in js for x in (j.u, j.c)))
     prior = Fraction(inst.prior.mu_h)
     scale = e * prior.denominator
-    boxes = []
+    boxes, uc = [], []
     for j in js:
         d = lcm(j.a.denominator, j.q.denominator)
-        A, Q = int(j.a * d), int(j.q * d)
-        boxes.append((d, d - A, Q, d - Q, int(j.u * e) * A, int(j.c * e) * d))
+        A, Q, U, C = int(j.a * d), int(j.q * d), int(j.u * e), int(j.c * e)
+        boxes.append((d, d - A, Q, d - Q, U * A, C * d))
+        uc.append((U, C))
         scale *= d
     mass = (prior.numerator, prior.denominator - prior.numerator)
-    return boxes, mass, (int(outside * e), partial(Fraction, denominator=scale))
+    return boxes, mass, (int(outside * e), partial(Fraction, denominator=scale), uc)
 
 
 def prepare_float(inst):
     """Float twin of prepare(): d = 1 and float coefficients."""
-    boxes = []
+    boxes, uc = [], []
     for j in inst.journals:
         u, a, q, c = float(j.u), float(j.a), float(j.q), float(j.c)
         boxes.append((1, 1 - a, q, 1 - q, u * a, c))
+        uc.append((u, c))
     mu = float(inst.prior.mu_h)
-    return boxes, (mu, 1 - mu), (float(inst.outside_option), float)
+    return boxes, (mu, 1 - mu), (float(inst.outside_option), float, uc)
 
 
 def step(box, h, l, v):
@@ -80,7 +95,7 @@ def order_value(boxes, perm, prior, outside):
     v = 0
     for i in perm:
         h, l, v = step(boxes[i], h, l, v)
-    o, finish = outside
+    o, finish, _ = outside
     return finish(v + o * (h + l))
 
 
@@ -91,19 +106,20 @@ def tie_slack(best, tol):
 
 
 def best_orders(inst, first: int | None = None):
-    """Exhaustive exact optimum over the canonical orders (see _walk).
+    """Exact optimum over the canonical orders (see _walk).
 
     Returns (best value as Fraction, canonical argmax perms in
-    lexicographic order, classes); expand(perms, classes) lists the whole
-    argmax set.  `first` pins the first submission, which is how the
-    parallel driver slices the tree; pin only the first member of a class.
+    lexicographic order, classes, pruned subtrees); expand(perms, classes)
+    lists the whole argmax set.  `first` pins the first submission, which
+    is how the parallel driver slices the tree; pin only the first member
+    of a class.
     """
-    return _walk(prepare(inst), first, 0)
+    return _walk(prepare(inst), first, 0, 0)
 
 
 def best_orders_float(inst, first: int | None = None, tol: float = FLOAT_TIE_TOL):
     """Float twin of best_orders; ties are values within tie_slack of the best."""
-    return _walk(prepare_float(inst), first, tol)
+    return _walk(prepare_float(inst), first, tol, FLOAT_BOUND_ALLOWANCE)
 
 
 def classes(boxes):
@@ -136,17 +152,41 @@ def expand(perms, cls):
     return sorted(tuple(map(to, p)) for p in perms for to in relabels)
 
 
-def _walk(kernel, first, tol):
+def _walk(kernel, first, tol, rounding):
     """Walk every canonical order once per shared prefix (about e * I!
-    steps for distinct journals) and keep the totals that tie with the best.
+    steps for distinct journals), skipping subtrees the payoff bound rules
+    out, and keep the totals that tie with the best.
 
     An order is canonical when each class's members appear in index
     order: journal i is free only once the previous member of its class
     is used.  A canonical order is the lexicographically first of its
     relabellings, whose totals are equal, so the relabellings the walk
     skips would never have moved the best or its tie slack.
+
+    The bound.  From a node with mass (h, l) and value v, the mass left
+    after the free journals is at least m = h Pa + l Pq, where Pa and Pq
+    are the products of 1 - a and 1 - q over them: h loses at most a
+    share a at each, l exactly a share q.  So at most h + l - m is
+    accepted, at a payoff of at most U, the lowest free index's (journals
+    are sorted by decreasing u), and each later cost c >= 0 is paid on at
+    least m: no completion beats
+        v + o (h + l) + max(U - o, 0) (h + l - m) - m * sum(free c).
+    In kernel units, with rest the product of the free journals' d (1 in
+    float mode), that is rest * V + bh * H + bl * L, with bh and bl
+    tabled per set of used journals.
+
+    A subtree is cut only when its bound is below the floor: the best
+    total so far, minus its tie slack, minus `rounding` times
+    S = (H0 + L0) (|O| + max |U| + sum C), which bounds every value and
+    bound the walk meets (0 in exact mode, FLOAT_BOUND_ALLOWANCE in float
+    mode, far above the float rounding of a bound or a total).  The floor
+    only rises, so a cut total would never have entered the argmax set or
+    moved the best: ties survive, and the result is the unpruned walk's.
+    The walk reaches the payoff-sorted order first, a strong incumbent.
+    Only nodes whose children keep BOUND_MIN_FREE or more free journals
+    test the bound; the rest run the bare loop.
     """
-    boxes, (h0, l0), (o, finish) = kernel
+    boxes, (h0, l0), (o, finish, uc) = kernel
     n = len(boxes)
     full = (1 << n) - 1
     cls = classes(boxes)
@@ -155,16 +195,46 @@ def _walk(kernel, first, tol):
     for i, r in enumerate(cls):
         after.append(last.get(r, 0))
         last[r] = 1 << i
-    free = [[i for i in range(n) if used & (1 << i | after[i]) == after[i]]
-            for used in range(full + 1)]
+    # free[used]: the journals free at `used`, in index order.  Built by
+    # doubling over the journals: a set without journal i gains i when it
+    # holds i's predecessor, and a set with i shares the list of the set
+    # without it.
+    free = [[]]
+    for i, p in enumerate(after):
+        free = [f + [i] if used & p == p else f for used, f in enumerate(free)] + free
+    # rest[used] * v + bh[used] * h + bl[used] * l bounds every completion.
+    # Over the set F of free journals, bh = rest * w - pa * z and
+    # bl = rest * w - pq * z: rest, pa and pq are the products of d, d - A
+    # and d - Q over F, w = O + gain and z = gain + sum(C), where gain is
+    # max(U - O, 0) for F's lowest index.  Each table is built by doubling,
+    # so F's highest bit is the journal joined last; reversed, a table is
+    # indexed by the used set, full - F.
+    rest, pa, pq, w, z = [1], [1], [1], [o], [0]
+    for (d, da, _, dq, _, _), (u, c) in zip(boxes, uc):
+        g = max(u - o, 0)
+        rest += [x * d for x in rest]
+        pa += [x * da for x in pa]
+        pq += [x * dq for x in pq]
+        w += [o + g, *w[1:]]
+        z += [g + c, *[x + c for x in z[1:]]]
+    rw = [r * x for r, x in zip(rest, w)]
+    bh = [x - a * y for x, a, y in zip(rw, pa, z)][::-1]
+    bl = [x - q * y for x, q, y in zip(rw, pq, z)][::-1]
+    rest.reverse()
+    allowance = rounding and rounding * (h0 + l0) * (
+        abs(o) + max(abs(u) for u, _ in uc) + sum(c for _, c in uc))
     top = [None, 0]     # best total so far and its tie slack
+    floor = float("-inf")   # a subtree bounded below this cannot tie
+    pruned = 0
     found: list = []    # (perm, total) pairs within the slack of the best
     perm: list = []
 
     def leaf(total):
+        nonlocal floor
         best, slack = top
         if best is None or total > best + slack:
             top[:] = total, tie_slack(total, tol)
+            floor = total - top[1] - allowance
             found[:] = [(p, t) for p, t in found if t >= total - top[1]]
             found.append((tuple(perm), total))
         elif total >= best - slack:
@@ -179,10 +249,27 @@ def _walk(kernel, first, tol):
             walk(used | 1 << i, *step(boxes[i], h, l, v))
             perm.pop()
 
+    def bounded(used, h, l, v):
+        nonlocal pruned
+        deeper = visit[len(perm) + 1]
+        for i in free[used]:
+            below = used | 1 << i
+            h2, l2, v2 = step(boxes[i], h, l, v)
+            if rest[below] * v2 + bh[below] * h2 + bl[below] * l2 < floor:
+                pruned += 1
+                continue
+            perm.append(i)
+            deeper(below, h2, l2, v2)
+            perm.pop()
+
+    # visit[k] walks a node k journals deep: bounded while its children
+    # have BOUND_MIN_FREE or more journals free
+    visit = [bounded if n - k - 1 >= BOUND_MIN_FREE else walk for k in range(n + 1)]
     if first is None:
-        walk(0, h0, l0, 0)
+        visit[0](0, h0, l0, 0)
     else:
         perm.append(first)
-        walk(1 << first, *step(boxes[first], h0, l0, 0))
+        visit[1](1 << first, *step(boxes[first], h0, l0, 0))
     best, slack = top
-    return finish(best), sorted(p for p, t in found if t >= best - slack), cls
+    return (finish(best), sorted(p for p, t in found if t >= best - slack), cls,
+            pruned)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import collections.abc
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,10 @@ Numeric = Union[Fraction, float]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Largest magnitude of a payoff, cost, outside option or order value:
+# float mode and the float fields of the output convert each to a double.
+MAX_MAGNITUDE = sys.float_info.max
 
 
 class ModelError(ValueError):
@@ -59,6 +64,19 @@ def parse_number(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"cannot parse number {value!r}") from exc
     raise ModelError(f"cannot parse number {value!r}")
+
+
+def _beyond_floats(what: str) -> ModelError:
+    return ModelError(f"{what} exceeds the float range: its magnitude must be "
+                      f"at most {MAX_MAGNITUDE:.17g}")
+
+
+def _as_float(what: str, x: Fraction) -> float:
+    """x as a double, or ModelError naming the limit when it overflows."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise _beyond_floats(what) from None
 
 
 def format_number(x: Fraction) -> str:
@@ -107,6 +125,8 @@ class Journal:
             raise ModelError(f"{self.name}: feedback rate must lie in [0,1), got {self.q}")
         if self.c < 0:
             raise ModelError(f"{self.name}: submission cost must be >= 0, got {self.c}")
+        _as_float(f"{self.name}: payoff u", self.u)
+        _as_float(f"{self.name}: submission cost c", self.c)
         # u may be negative: normalizing the outside option shifts payoffs.
 
 
@@ -132,7 +152,16 @@ class Instance:
             raise ModelError("instance needs at least one journal")
         if not isinstance(self.prior, Belief):
             object.__setattr__(self, "prior", Belief(parse_number(self.prior)))
-        object.__setattr__(self, "outside_option", parse_number(self.outside_option))
+        outside = parse_number(self.outside_option)
+        object.__setattr__(self, "outside_option", outside)
+        # every order's value lies within max(|u|, |outside|) + sum(c);
+        # the float sum decides unless it lands next to the limit
+        reach = (max(abs(_as_float("outside option", outside)),
+                     *[abs(float(j.u)) for j in js]) + sum([float(j.c) for j in js]))
+        if reach > MAX_MAGNITUDE * (1 - 2 ** -40) and MAX_MAGNITUDE < (
+                max(abs(outside), *[abs(j.u) for j in js]) + sum(j.c for j in js)):
+            raise _beyond_floats("max(|u|, |outside option|) + sum(c), the largest "
+                                 "value an order can reach,")
         order = sorted(range(len(js)), key=lambda i: (-js[i].u, i))
         object.__setattr__(self, "journals", tuple(js[i] for i in order))
         object.__setattr__(self, "input_positions", tuple(order))

@@ -68,15 +68,18 @@ def _show(x) -> str:
 
 def brute_force_optimal(inst: Instance, mode: str = "exact",
                         threads: int = 1) -> SolveResult:
-    """Exhaustive optimum over all I! orders (cap I <= 10).
+    """Optimum over all I! orders by branch and bound (cap I <= 10).
 
-    Walks the permutation tree once so shared prefixes are evaluated
-    once.  Journals with equal kernel boxes are interchangeable: the walk
-    visits one canonical order per relabelling of them and the argmax
-    set is expanded afterwards, so a set over ARGMAX_LIMIT orders raises
-    SolverError before it is built.  threads > 1 splits the tree by the
-    first member of each class across processes; results are merged
-    exactly, so the answer does not depend on the thread count.
+    Walks the permutation tree so shared prefixes are evaluated once, and
+    cuts a subtree only when a payoff bound puts it strictly below the
+    best so far, so every tied order is kept (see _engine._walk);
+    details["pruned"] counts the cut subtrees.  Journals with equal
+    kernel boxes are interchangeable: the walk visits one canonical order
+    per relabelling of them and the argmax set is expanded afterwards, so
+    a set over ARGMAX_LIMIT orders raises SolverError before it is built.
+    threads > 1 splits the tree by the first member of each class across
+    processes; results are merged exactly, so the answer does not depend
+    on the thread count.
     """
     n = inst.size
     if n > BRUTE_FORCE_CAP:
@@ -93,12 +96,14 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
         with ProcessPoolExecutor(max_workers=min(threads, len(firsts))) as pool:
             results = list(pool.map(_search, [inst] * len(firsts), [mode] * len(firsts),
                                     firsts))
-        best = max(v for v, _, _ in results)
+        best = max(v for v, _, _, _ in results)
         slack = _engine.tie_slack(best, _tie_tol(mode))
-        canonical = sorted(p for v, perms, _ in results if v >= best - slack for p in perms)
+        canonical = sorted(p for v, perms, _, _ in results if v >= best - slack
+                           for p in perms)
         cls = results[0][2]
+        pruned = sum(r[3] for r in results)
     else:
-        best, canonical, cls = _search(inst, mode)
+        best, canonical, cls, pruned = _search(inst, mode)
 
     # each canonical order stands for the product of its class sizes' factorials
     size = len(canonical) * math.prod(map(math.factorial, Counter(cls).values()))
@@ -113,13 +118,14 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
         best_value=best,
         argmax_set=orders,
         method="brute_force",
-        details={"orders_considered": _falling_factorial_total(n), "threads": threads},
+        details={"orders_considered": _falling_factorial_total(n), "threads": threads,
+                 "pruned": pruned},
     )
 
 
 def _search(inst: Instance, mode: str, first: Optional[int] = None):
-    """(best value, canonical argmax perms, classes) over all orders, or
-    over those that start with `first`."""
+    """(best value, canonical argmax perms, classes, pruned subtrees) over
+    all orders, or over those that start with `first`."""
     if mode == "exact":
         return _engine.best_orders(inst, first=first)
     return _engine.best_orders_float(inst, first=first, tol=FLOAT_TIE_TOL)
@@ -219,7 +225,7 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     n = inst.size
     full = (1 << n) - 1
     prepare = _engine.prepare if mode == "exact" else _engine.prepare_float
-    boxes, prior, (o, finish) = prepare(inst)
+    boxes, prior, (o, finish, _) = prepare(inst)
     tol = _tie_tol(mode)
 
     # (H, L) mass reaching each rejection set; the commuting updates make

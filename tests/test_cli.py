@@ -149,6 +149,52 @@ def test_argmax_limit_exits_2_fast(tmp_path, capsys):
     assert "over the limit of 362880 (9!)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("u", "1e400"), ("u", "-1e400"), ("c", "1e400"), ("outside_option", "1e400"),
+    ("c", "1e308"),     # each field fits, but two costs of 1e308 do not
+])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_values_beyond_the_float_range_exit_2(field, value, mode, fmt, tmp_path, capsys):
+    doc = {"journals": [{"u": "3", "a": "1/2", "q": "1/5", "c": "1e308"},
+                        {"u": "1", "a": "1/3", "q": "1/4"}],
+           "prior_h": "1/2", "outside_option": "0"}
+    if field == "outside_option":
+        doc[field] = value
+    else:
+        doc["journals"][1][field] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "-i", str(path), "--mode", mode, *fmt]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the float range" in err and "1.7976931348623157e+308" in err
+    assert "Traceback" not in err
+
+
+def test_json_number_beyond_the_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"       # a JSON number, read as an exact Fraction
+    path.write_text('{"journals": [{"u": 1e400, "a": "1/2"}], "prior_h": "1/2"}')
+    assert main(["solve", "-i", str(path), "--mode", "float"]) == 2
+    assert "exceeds the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_values_inside_the_float_range_solve(mode, fmt, tmp_path, capsys):
+    doc = {"journals": [{"u": "1.6e308", "a": "1/2", "q": "1/5"},
+                        {"u": "-1e307", "a": "1/3", "q": "1/4", "c": "1e307"},
+                        *({"u": str(k), "a": "1/3", "q": "1/4"} for k in range(3))],
+           "prior_h": "1/2", "outside_option": "-1e307"}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "-i", str(path), "--mode", mode, *fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt:
+        assert json.loads(out)["best_order"][0] == "J1"
+    else:
+        assert "best order: J1 > " in out
+
+
 def test_check_summaries(pair_file, capsys):
     assert main(["check", "-i", pair_file, "--prior", "9/10"]) == 0
     out = capsys.readouterr().out

@@ -8,10 +8,14 @@ evaluate()'s maximisers.
 
 Instances with interchangeable journals (equal kernel boxes) pin the
 class walk, which visits one canonical order per relabelling and expands
-the argmax set afterwards, against a full walk over every order.
+the argmax set afterwards, against a full walk over every order.  The
+same reference pins the pruned walk: every `first=` slice, in both
+modes, must give the unpruned walk's best and canonical argmax perms,
+exact ties and float near ties included.
 """
 import itertools
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,7 +50,7 @@ instances = st.builds(
 
 
 def _expanded(result):
-    best, canonical, cls = result
+    best, canonical, cls, _ = result
     return best, _engine.expand(canonical, cls)
 
 
@@ -85,9 +89,10 @@ def test_walkers_return_the_maximisers_of_evaluate(inst):
 
 
 
-def _full_walk(kernel, tol):
-    """Reference walk over every order, without the class restriction."""
-    boxes, (h0, l0), (o, finish) = kernel
+def _full_walk(kernel, tol, first=None):
+    """Reference walk over every order (or every order that starts with
+    `first`), without the class restriction or the bound."""
+    boxes, (h0, l0), (o, finish, _) = kernel
     n = len(boxes)
     full = (1 << n) - 1
     free = [[i for i in range(n) if not used >> i & 1] for used in range(full + 1)]
@@ -113,7 +118,11 @@ def _full_walk(kernel, tol):
             walk(used | 1 << i, *_engine.step(boxes[i], h, l, v))
             perm.pop()
 
-    walk(0, h0, l0, 0)
+    if first is None:
+        walk(0, h0, l0, 0)
+    else:
+        perm.append(first)
+        walk(1 << first, *_engine.step(boxes[first], h0, l0, 0))
     best, slack = top
     return finish(best), sorted(p for p, t in found if t >= best - slack)
 
@@ -173,3 +182,87 @@ def test_classes_follow_equal_boxes():
     assert _engine.classes(_engine.prepare_float(inst)[0]) == (0, 0, 2, 2)
     assert _engine.expand([(0, 2, 1, 3)], (0, 0, 2, 2)) == [
         (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2)]
+
+
+def _canonical(perm, cls):
+    """Each class's members appear in index order."""
+    last = {}
+    for i in perm:
+        if last.get(cls[i], -1) > i:
+            return False
+        last[cls[i]] = i
+    return True
+
+
+# exact, float, and float ties by == (where the bound's rounding allowance,
+# not the tie slack, keeps last-bit near ties)
+MODES = ((_engine.prepare, _engine.best_orders, 0),
+         (_engine.prepare_float, _engine.best_orders_float, _engine.FLOAT_TIE_TOL),
+         (_engine.prepare_float, partial(_engine.best_orders_float, tol=0), 0))
+
+pruning = st.builds(
+    lambda js, prior, outside: Instance(
+        tuple(Journal(f"J{k}", j.u, j.a, j.q, j.c) for k, j in enumerate(js)),
+        Belief(prior), outside),
+    st.lists(journal, min_size=4, max_size=6),
+    unit,
+    st.one_of(st.just(F(0)), _fractions(-3, 3), _fractions(8, 12)),
+)
+
+
+def _journals(rows, prior=F(1, 2), outside=0):
+    return Instance(tuple(Journal(f"J{k}", *row) for k, row in enumerate(rows)),
+                    Belief(prior), outside)
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=st.one_of(pruning, duplicated()))
+@example(inst=_journals([(k, F(1, k + 1), F(1, 5), F(1, 8)) for k in range(5)],
+                        outside=7))                                 # outside above every u
+@example(inst=_journals([(-k, F(1, 3), F(1, 4), F(1, 8)) for k in range(1, 6)],
+                        outside=-1))                                # all-negative u
+@example(inst=_journals([(2, 1, F(1, k + 2), 0) for k in range(5)],
+                        prior=1))                                   # equal totals, at the bound
+@example(inst=_journals([(0, 0, 0, F(k, 5)) for k in range(1, 6)]))  # equal totals, costs only
+@example(inst=_journals([(5, 1, 0, F(1, 2)), (4, F(1, 3), F(1, 4), 0), (3, 1, 0, 0),
+                         (2, F(2, 3), 0, F(1, 4)), (1, 1, F(1, 2), F(1, 8))]))  # a = 1, q = 0
+@example(inst=_journals([(3 - k, F(1, 2), F(1, 3), F(1, 4)) for k in range(5)], prior=0))
+@example(inst=_journals([(3 - k, F(1, 2), F(1, 3), F(1, 4)) for k in range(5)], prior=1))
+@example(inst=_journals([(0, 0, 0, F(k, 10)) for k in (1, 2, 3, 7, 9)]))  # float ulp tie
+def test_pruned_walk_matches_the_full_walk(inst):
+    """Tested with the bound at every level and at the default one."""
+    default = _engine.BOUND_MIN_FREE
+    try:
+        for min_free in (1, default):
+            _engine.BOUND_MIN_FREE = min_free
+            for prepare, walker, tol in MODES:
+                kernel = prepare(inst)
+                cls = _engine.classes(kernel[0])
+                for first in (None, *sorted(set(cls))):
+                    best, perms = _full_walk(kernel, tol, first)
+                    canonical = [p for p in perms if _canonical(p, cls)]
+                    assert walker(inst, first=first)[:3] == (best, canonical, cls)
+    finally:
+        _engine.BOUND_MIN_FREE = default
+
+
+def test_ulp_example_is_a_float_near_tie():
+    """The last example above: all 120 orders are worth the same exactly,
+    and their float totals differ in the last bits."""
+    inst = _journals([(0, 0, 0, F(k, 10)) for k in (1, 2, 3, 7, 9)])
+    boxes, prior, outside = _engine.prepare_float(inst)
+    totals = {_engine.order_value(boxes, p, prior, outside)
+              for p in itertools.permutations(range(5))}
+    assert len(totals) > 1
+    assert len(_engine.best_orders(inst)[1]) == len(_engine.best_orders_float(inst)[1]) == 120
+
+
+def test_bound_prunes_a_random_eight_journal_instance():
+    from jss.generators import GeneratorSpec, gen_random_instance
+    from jss.solver import brute_force_optimal
+
+    inst = gen_random_instance(GeneratorSpec("unconstrained", (8, 8), seed=3))
+    for mode in ("exact", "float"):
+        res = brute_force_optimal(inst, mode=mode)
+        assert res.details["pruned"] > 0
+        assert res.details["orders_considered"] == 109600

@@ -100,6 +100,18 @@ def test_brute_force_thread_count_does_not_change_answer(pair):
             assert [o.perm for o in solo.argmax_set] == [o.perm for o in split.argmax_set]
 
 
+def test_split_sums_the_pruned_subtrees_of_its_slices():
+    from jss import _engine
+    from jss.generators import GeneratorSpec, gen_random_instance
+
+    inst = gen_random_instance(GeneratorSpec("unconstrained", (7, 7), seed=5))
+    for mode, walker in (("exact", _engine.best_orders),
+                         ("float", _engine.best_orders_float)):
+        split = brute_force_optimal(inst, mode=mode, threads=2)
+        slices = sum(walker(inst, first=f)[3] for f in range(inst.size))
+        assert split.details["pruned"] == slices > 0
+
+
 def test_identical_journals_list_every_order():
     for mode in ("exact", "float"):
         res = brute_force_optimal(_identical(8), mode=mode)
