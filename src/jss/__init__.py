@@ -15,7 +15,6 @@ from .model import (
     Journal,
     ModelError,
     SearchOrder,
-    belief_path,
     check_order,
     dump_instance,
     evaluate,
@@ -25,9 +24,7 @@ from .model import (
     normalize,
     parse_instance,
     parse_number,
-    rejection_probability,
     save_instance,
-    survival_schedule,
     update_belief,
 )
 from .conditions import (
@@ -62,12 +59,9 @@ from .generators import (
 )
 from .catalog import CASES, BY_NAME, example_pair
 from .sim import (
-    EpisodeOutcome,
-    conditional_acceptance,
     empirical_survival,
     estimate_value,
     simulate_batch,
-    simulate_episode,
 )
 from .verify import SUITES, VerificationReport, run_all, run_suite
 
@@ -79,7 +73,6 @@ __all__ = [
     "CASES",
     "ConditionError",
     "ConditionReport",
-    "EpisodeOutcome",
     "EvaluationTrace",
     "FAMILIES",
     "GBWF_POLICIES",
@@ -98,14 +91,12 @@ __all__ = [
     "ThresholdResult",
     "VerificationReport",
     "belief_grid",
-    "belief_path",
     "brute_force_optimal",
     "check_globally_bounded_weak_feedback",
     "check_order",
     "check_order_independence",
     "check_regularity",
     "check_strong_feedback",
-    "conditional_acceptance",
     "dump_instance",
     "empirical_survival",
     "estimate_value",
@@ -123,14 +114,11 @@ __all__ = [
     "parse_number",
     "payoff_sweep",
     "prior_threshold_2box",
-    "rejection_probability",
     "run_all",
     "run_suite",
     "save_instance",
     "simulate_batch",
-    "simulate_episode",
     "subset_dp_optimal",
-    "survival_schedule",
     "update_belief",
     "value_difference",
     "__version__",

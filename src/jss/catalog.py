@@ -23,7 +23,6 @@ class CatalogCase:
     flip_boundary: Fraction           # exact prior where both orders tie
     quoted_prior: Optional[Fraction]  # commonly quoted evaluation prior
     quoted_behavior: Optional[str]    # "nonmonotone" or "monotone" as quoted
-    gbwf_band: Optional[tuple[Fraction, Fraction]] = None
 
     def instance(self, prior) -> Instance:
         return Instance(self.journals, Belief(Fraction(prior)), Fraction(0))
@@ -45,7 +44,6 @@ CASES = (
         flip_boundary=Fraction(17, 29),
         quoted_prior=None,
         quoted_behavior=None,
-        gbwf_band=(Fraction(4, 7), Fraction(17, 29)),
     ),
     CatalogCase(
         name="acceptance_rate_inverted",

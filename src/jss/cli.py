@@ -62,8 +62,6 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if hasattr(x, "perm"):
-        return list(x.perm)
     return x
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import collections.abc
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 Numeric = Union[Fraction, float]
 
@@ -56,11 +56,9 @@ def parse_number(value) -> Fraction:
         raise ModelError(f"not a number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(value.strip())
+            return Fraction(str(value).strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"cannot parse number {value!r}") from exc
     raise ModelError(f"cannot parse number {value!r}")
@@ -101,10 +99,6 @@ class Belief:
         if not (0 <= mu <= 1):
             raise ModelError(f"belief must lie in [0,1], got {mu}")
 
-    @property
-    def mu_l(self) -> Numeric:
-        return 1 - self.mu_h
-
 
 @dataclass(frozen=True)
 class Journal:
@@ -136,15 +130,12 @@ class Instance:
 
     Journals are stored sorted by decreasing payoff (stable on ties), so
     order index 0 is always the best-paying journal and the monotone
-    order is the identity permutation.  `input_positions[k]` gives the
-    position each sorted journal had in the constructor argument.
+    order is the identity permutation.
     """
 
     journals: tuple[Journal, ...]
     prior: Belief
     outside_option: Fraction = ZERO
-    input_positions: tuple[int, ...] = field(default=(), compare=False)
-    distinct_u: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         js = tuple(self.journals)
@@ -162,11 +153,7 @@ class Instance:
                 max(abs(outside), *[abs(j.u) for j in js]) + sum(j.c for j in js)):
             raise _beyond_floats("max(|u|, |outside option|) + sum(c), the largest "
                                  "value an order can reach,")
-        order = sorted(range(len(js)), key=lambda i: (-js[i].u, i))
-        object.__setattr__(self, "journals", tuple(js[i] for i in order))
-        object.__setattr__(self, "input_positions", tuple(order))
-        payoffs = [j.u for j in self.journals]
-        object.__setattr__(self, "distinct_u", len(set(payoffs)) == len(payoffs))
+        object.__setattr__(self, "journals", tuple(sorted(js, key=lambda j: -j.u)))
 
     @property
     def size(self) -> int:
@@ -199,9 +186,6 @@ class SearchOrder:
     @classmethod
     def identity(cls, n: int) -> "SearchOrder":
         return cls(tuple(range(n)))
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
 
     def label(self, inst: Instance) -> str:
         names = inst.journal_names()
@@ -273,11 +257,6 @@ def update_belief(journal: Journal, belief: Belief) -> Belief:
     return Belief(((1 - journal.a - journal.q) * mu + journal.q) / denom)
 
 
-def rejection_probability(journal: Journal, belief: Belief):
-    """Probability the next submission at `journal` comes back rejected."""
-    return 1 - journal.a * belief.mu_h
-
-
 @dataclass(frozen=True)
 class EvaluationTrace:
     """Everything evaluate() computes for one order.
@@ -347,16 +326,6 @@ def evaluate(inst: Instance, order: SearchOrder, mode: str = "exact") -> Evaluat
         outside_value=outside_value,
         total=total,
     )
-
-
-def belief_path(inst: Instance, order: SearchOrder, mode: str = "exact") -> tuple:
-    """Beliefs entering each period, prior first (length I+1)."""
-    return evaluate(inst, order, mode).beliefs
-
-
-def survival_schedule(inst: Instance, order: SearchOrder, mode: str = "exact") -> tuple:
-    """Probability of reaching each period without acceptance (length I+1)."""
-    return evaluate(inst, order, mode).reach
 
 
 def normalize(inst: Instance, shift) -> Instance:

@@ -16,7 +16,6 @@ agree bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 from typing import Optional
@@ -24,46 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .model import Instance, SearchOrder, check_order
-
-
-@dataclass(frozen=True)
-class EpisodeOutcome:
-    """One simulated run.
-
-    accepted_period is 1-based; None means the paper was never accepted
-    and the outside option was taken.  quality_path[t] is the quality
-    ("H"/"L") entering period t+1.  realized_payoff nets out all
-    submission costs actually paid (exact arithmetic).
-    """
-
-    accepted_period: Optional[int]
-    accepting_journal: Optional[str]
-    realized_payoff: Fraction
-    quality_path: tuple[str, ...]
-
-
-def simulate_episode(inst: Instance, order: SearchOrder, rng) -> EpisodeOutcome:
-    """Simulate a single run; rng needs only a .random() method.
-
-    Draws lazily (acceptance draw, then a feedback draw only when the
-    paper is still low quality), so its stream layout differs from the
-    fixed-block batch driver; both sample the same process.
-    """
-    check_order(inst, order)
-    high = rng.random() < inst.prior.mu_h
-    path = []
-    paid = Fraction(0)
-    for t, idx in enumerate(order.perm):
-        j = inst.journals[idx]
-        path.append("H" if high else "L")
-        paid += j.c
-        accept_draw = rng.random()
-        if high and accept_draw < j.a:
-            return EpisodeOutcome(t + 1, j.name, j.u - paid, tuple(path))
-        feedback_draw = rng.random()
-        if not high and feedback_draw < j.q:
-            high = True
-    return EpisodeOutcome(None, None, inst.outside_option - paid, tuple(path))
 
 
 def _run_batch(inst: Instance, order: SearchOrder, n_episodes: int, seed: int):
@@ -147,16 +106,3 @@ def empirical_survival(inst: Instance, order: SearchOrder, n_episodes: int,
     the reach column of evaluate()'s trace.
     """
     return _survival(len(order.perm), _run_batch(inst, order, n_episodes, seed))
-
-
-def conditional_acceptance(inst: Instance, order: SearchOrder, n_episodes: int,
-                           seed: int = 0) -> list[tuple[int, int]]:
-    """(episodes reaching period t, acceptances at period t) for each t."""
-    accepted_at = _run_batch(inst, order, n_episodes, seed)
-    never = accepted_at == 0
-    out = []
-    for t in range(1, len(order.perm) + 1):
-        reached = int(np.sum(never | (accepted_at >= t)))
-        taken = int(np.sum(accepted_at == t))
-        out.append((reached, taken))
-    return out

@@ -12,7 +12,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import _engine
 from ._engine import FLOAT_TIE_TOL
@@ -178,21 +178,10 @@ def index_order_no_feedback(inst: Instance) -> SolveResult:
     order = SearchOrder(tuple(ranked))
     value = evaluate(inst, order).total
 
-    groups = []
-    for _, grp in itertools.groupby(ranked, key=lambda i: keys[i]):
-        groups.append(list(grp))
-    count = 1
-    for g in groups:
-        for m in range(2, len(g) + 1):
-            count *= m
+    # journals with equal keys (a = 0 ones share None) form the tie classes
+    count = math.prod(map(math.factorial, Counter(keys).values()))
     truncated = count > 1000
-    if truncated:
-        argmax = Orders((order.perm,))
-    else:
-        argmax = Orders(
-            tuple(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*(itertools.permutations(g) for g in groups))
-        )
+    argmax = Orders((order.perm,) if truncated else _engine.expand([order.perm], keys))
     return SolveResult(
         best_order=order,
         best_value=value,
@@ -405,7 +394,6 @@ class SweepResult:
     """Per-prior values for each order (or just the best order)."""
 
     labels: tuple[str, ...]
-    orders: tuple[SearchOrder, ...]
     rows: tuple[dict, ...]
     mode: str
 
@@ -418,23 +406,6 @@ class SweepResult:
                 + [_csv_num(v, self.mode) for v in row["values"]]
                 + [row["best"]]
             )
-
-    def flip_count(self, label_a: str, label_b: str) -> int:
-        """Sign changes of value(label_a) - value(label_b) down the grid."""
-        ia, ib = self.labels.index(label_a), self.labels.index(label_b)
-        signs = []
-        for row in self.rows:
-            d = row["values"][ia] - row["values"][ib]
-            signs.append(0 if d == 0 else (1 if d > 0 else -1))
-        flips = 0
-        prev = None
-        for s in signs:
-            if s == 0:
-                continue
-            if prev is not None and s != prev:
-                flips += 1
-            prev = s
-        return flips
 
 
 def _csv_num(x, mode: str) -> str:
@@ -465,7 +436,6 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
     rows = []
     if per_order:
         labels = tuple(label(p) for p in perms)
-        orders = tuple(SearchOrder(p) for p in perms)
         for mu in grid:
             point = inst.with_prior(parse_number(mu))
             boxes, prior, outside = prepare(point)
@@ -482,7 +452,6 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
             })
     else:
         labels = ("best",)
-        orders = ()
         for mu in grid:
             point = inst.with_prior(parse_number(mu))
             res = brute_force_optimal(point, mode=mode)
@@ -492,4 +461,4 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
                 "best": res.best_order.label(point).replace(" > ", ">"),
                 "tie": len(res.argmax_set) > 1,
             })
-    return SweepResult(labels=labels, orders=orders, rows=tuple(rows), mode=mode)
+    return SweepResult(labels=labels, rows=tuple(rows), mode=mode)

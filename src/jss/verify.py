@@ -31,7 +31,6 @@ from . import _engine
 from .catalog import BY_NAME, CASES
 from .conditions import (
     check_globally_bounded_weak_feedback,
-    check_order_independence,
     check_regularity,
     check_strong_feedback,
     feedback_threshold,

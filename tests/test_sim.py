@@ -13,13 +13,11 @@ from jss import (
     Instance,
     Journal,
     SearchOrder,
-    conditional_acceptance,
     empirical_survival,
     estimate_value,
     evaluate,
     example_pair,
     simulate_batch,
-    simulate_episode,
 )
 from jss.generators import sample_unconstrained
 
@@ -114,62 +112,3 @@ def test_never_accepted_takes_outside_option_net_of_costs():
     mean, se = estimate_value(inst, SearchOrder((0, 1)), 200, seed=3)
     assert mean == pytest.approx(float(F(2) - F(1, 4)))
     assert se == 0.0
-
-
-class _Script:
-    """Deterministic draw sequence standing in for an rng."""
-
-    def __init__(self, draws):
-        self.draws = list(draws)
-
-    def random(self):
-        return self.draws.pop(0)
-
-
-def test_episode_feedback_repair_path(pair):
-    # L paper, no acceptance at J1, feedback flips quality, J2 accepts
-    rng = _Script([0.9, 0.5, 0.05, 0.1])
-    out = simulate_episode(pair, ORDER, rng)
-    assert out.accepted_period == 2
-    assert out.accepting_journal == "J2"
-    assert out.quality_path == ("L", "H")
-    assert out.realized_payoff == F(1)
-
-
-def test_episode_immediate_acceptance(pair):
-    rng = _Script([0.1, 0.15])  # H paper, J1 accepts on the first draw
-    out = simulate_episode(pair, ORDER, rng)
-    assert out.accepted_period == 1
-    assert out.accepting_journal == "J1"
-    assert out.realized_payoff == F(5)
-    assert out.quality_path == ("H",)
-
-
-def test_episode_exhaustion(pair):
-    rng = _Script([0.9, 0.5, 0.9, 0.5, 0.9])  # L throughout, never repaired
-    out = simulate_episode(pair, ORDER, rng)
-    assert out.accepted_period is None
-    assert out.accepting_journal is None
-    assert out.realized_payoff == pair.outside_option
-    assert out.quality_path == ("L", "L")
-
-
-def test_episode_seeded_rng_determinism(pair):
-    import random
-
-    a = simulate_episode(pair, ORDER, random.Random(99))
-    b = simulate_episode(pair, ORDER, random.Random(99))
-    assert a == b
-
-
-def test_conditional_acceptance_accounting(pair):
-    n = 20000
-    rows = conditional_acceptance(pair, ORDER, n, seed=5)
-    assert len(rows) == 2
-    assert rows[0][0] == n  # everyone reaches the first period
-    taken_total = sum(t for _, t in rows)
-    surv = empirical_survival(pair, ORDER, n, seed=5)
-    assert taken_total == n - round(surv[-1] * n)
-    # conditional acceptance frequency at period 1 approximates a * mu
-    reached, taken = rows[0]
-    assert taken / reached == pytest.approx(0.1, abs=0.01)
