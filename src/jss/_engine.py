@@ -105,6 +105,14 @@ def tie_slack(best, tol):
     return tol * max(1.0, abs(best)) if tol else 0
 
 
+def ties(values, tol):
+    """The best of `values` and the indices of the values that tie with
+    it (within its tie_slack), in increasing order."""
+    best = max(values)
+    floor = best - tie_slack(best, tol)
+    return best, [k for k, v in enumerate(values) if v >= floor]
+
+
 def best_orders(inst, first: int | None = None):
     """Exact optimum over the canonical orders (see _walk).
 

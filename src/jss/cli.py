@@ -12,7 +12,6 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import verify as verify_mod
 from .conditions import (
@@ -32,6 +31,7 @@ from .model import (
     load_instance,
     monotone_order,
     parse_number,
+    plain,
 )
 from .sim import simulate_batch
 from .solver import (
@@ -55,16 +55,6 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return format_number(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _load(args) -> Instance:
     inst = load_instance(args.instance)
     if getattr(args, "prior", None) is not None:
@@ -77,14 +67,14 @@ class _Encoded(str):
 
 
 def _dumps(payload: dict) -> str:
-    """json.dumps(_jsonable(payload), indent=2), byte for byte, for a
+    """json.dumps(plain(payload), indent=2), byte for byte, for a
     non-empty payload, with each _Encoded value spliced in as it is.  The
     encoder escapes newlines inside strings, so indenting every line of a
     value's own encoding nests it one level down."""
     items = []
     for key, value in payload.items():
         if not isinstance(value, _Encoded):
-            value = json.dumps(_jsonable(value), indent=2).replace("\n", "\n  ")
+            value = json.dumps(plain(value), indent=2).replace("\n", "\n  ")
         items.append(f"  {json.dumps(key)}: {value}")
     return "{\n" + ",\n".join(items) + "\n}"
 
@@ -204,7 +194,7 @@ def cmd_solve(args) -> int:
     names = inst.journal_names()
     if not args.json:
         _emit(args, [f"instance: {len(names)} journals, "
-                     f"prior {format_number(parse_number(inst.prior.mu_h))}",
+                     f"prior {format_number(inst.prior.mu_h)}",
                      res.describe(inst)], None)
         return 0
     payload = {
@@ -378,10 +368,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ModelError, SolverError, ConditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

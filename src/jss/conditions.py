@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _engine
-from .model import Belief, Instance, Journal, ModelError, format_number, update_belief
+from .model import Belief, Instance, Journal, ModelError, format_number, plain, update_belief
 
 GBWF_POLICIES = ("box1", "max_over_journals", "per_remaining")
 GBWF_MAX_SIZE = 8
@@ -43,37 +43,20 @@ class ConditionReport:
         if self.margin is not None:
             msg += f" (margin {format_number(self.margin)})"
         if not self.passed and self.witnesses:
-            w = self.witnesses[0]
+            w = plain(self.witnesses[0])
             if isinstance(w, dict):
-                parts = []
-                for k, v in w.items():
-                    if isinstance(v, Fraction):
-                        v = format_number(v)
-                    elif isinstance(v, tuple):
-                        v = tuple(format_number(x) if isinstance(x, Fraction)
-                                  else x for x in v)
-                    parts.append(f"{k}={v}")
-                w = ", ".join(parts)
+                w = ", ".join(f"{k}={v}" for k, v in w.items())
             msg += f"; witness: {w}"
         return msg
 
     def to_dict(self) -> dict:
-        def conv(x):
-            if isinstance(x, Fraction):
-                return format_number(x)
-            if isinstance(x, dict):
-                return {k: conv(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [conv(v) for v in x]
-            return x
-
-        return {
+        return plain({
             "condition": self.condition,
             "passed": self.passed,
-            "margin": None if self.margin is None else format_number(self.margin),
-            "witnesses": conv(list(self.witnesses)),
-            "details": conv(self.details),
-        }
+            "margin": self.margin,
+            "witnesses": list(self.witnesses),
+            "details": self.details,
+        })
 
 
 def _min_margin(margins):

@@ -85,17 +85,28 @@ def format_number(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def plain(x):
+    """x with every Fraction in it, at any depth of dicts, lists and
+    tuples, written by format_number; dict keys become strings."""
+    if isinstance(x, Fraction):
+        return format_number(x)
+    if isinstance(x, dict):
+        return {str(k): plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(plain, x))
+    return x
+
+
 @dataclass(frozen=True)
 class Belief:
-    """Probability the paper is currently high quality."""
+    """Probability the paper is currently high quality, read by
+    parse_number, so Belief(0.3) holds exactly 3/10."""
 
-    mu_h: Numeric
+    mu_h: Fraction
 
     def __post_init__(self):
-        mu = self.mu_h
-        if not isinstance(mu, float):
-            mu = parse_number(mu)
-            object.__setattr__(self, "mu_h", mu)
+        mu = parse_number(self.mu_h)
+        object.__setattr__(self, "mu_h", mu)
         if not (0 <= mu <= 1):
             raise ModelError(f"belief must lie in [0,1], got {mu}")
 
@@ -142,7 +153,7 @@ class Instance:
         if not js:
             raise ModelError("instance needs at least one journal")
         if not isinstance(self.prior, Belief):
-            object.__setattr__(self, "prior", Belief(parse_number(self.prior)))
+            object.__setattr__(self, "prior", Belief(self.prior))
         outside = parse_number(self.outside_option)
         object.__setattr__(self, "outside_option", outside)
         # every order's value lies within max(|u|, |outside|) + sum(c);
@@ -163,7 +174,7 @@ class Instance:
         return tuple(j.name for j in self.journals)
 
     def with_prior(self, mu) -> "Instance":
-        return Instance(self.journals, Belief(parse_number(mu)), self.outside_option)
+        return Instance(self.journals, Belief(mu), self.outside_option)
 
 
 @dataclass(frozen=True)
@@ -253,7 +264,7 @@ def update_belief(journal: Journal, belief: Belief) -> Belief:
     mu = belief.mu_h
     denom = 1 - journal.a * mu
     if denom == 0:
-        return Belief(1.0 if isinstance(mu, float) else ONE)
+        return Belief(ONE)
     return Belief(((1 - journal.a - journal.q) * mu + journal.q) / denom)
 
 
@@ -386,7 +397,7 @@ def parse_instance(doc: dict) -> Instance:
         except ModelError as exc:
             raise InstanceFormatError(f"journal #{k + 1}: {exc}") from None
     try:
-        return Instance(tuple(journals), Belief(parse_number(prior)),
+        return Instance(tuple(journals), Belief(prior),
                         parse_number(doc.get("outside_option", 0)))
     except ModelError as exc:
         raise InstanceFormatError(str(exc)) from None
@@ -428,7 +439,7 @@ def dump_instance(inst: Instance) -> dict:
             }
             for j in inst.journals
         ],
-        "prior_h": format_number(Fraction(inst.prior.mu_h)),
+        "prior_h": format_number(inst.prior.mu_h),
         "outside_option": format_number(inst.outside_option),
     }
 

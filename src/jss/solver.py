@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import _engine
 from ._engine import FLOAT_TIE_TOL
-from .conditions import check_order_independence
+from .conditions import _index_key, check_order_independence
 from .model import (
     Belief,
     Instance,
@@ -32,8 +32,7 @@ from .model import (
 )
 
 BRUTE_FORCE_CAP = 10
-ARGMAX_ENUM_CAP = 20000
-ARGMAX_LIMIT = math.factorial(9)    # most orders brute force lists as its argmax set
+ARGMAX_LIMIT = math.factorial(9)    # most orders a solver lists as its argmax set
 
 
 class SolverError(ModelError):
@@ -88,31 +87,23 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
             "use subset_dp_optimal for order-independent instances or "
             "pairwise_swap_local_search for a heuristic"
         )
-    if mode not in ("exact", "float"):
-        raise SolverError(f"mode must be 'exact' or 'float', got {mode!r}")
+    tol = _tie_tol(mode)
 
-    firsts = _class_firsts(inst, mode) if threads > 1 else ()
+    # the first member of each class of interchangeable journals heads one
+    # slice of the tree for the parallel driver
+    firsts = sorted(set(_engine.classes(_prepare(inst, mode)[0]))) if threads > 1 else ()
     if len(firsts) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(firsts))) as pool:
             results = list(pool.map(_search, [inst] * len(firsts), [mode] * len(firsts),
                                     firsts))
-        best = max(v for v, _, _, _ in results)
-        slack = _engine.tie_slack(best, _tie_tol(mode))
-        canonical = sorted(p for v, perms, _, _ in results if v >= best - slack
-                           for p in perms)
+        best, tied = _engine.ties([r[0] for r in results], tol)
+        canonical = sorted(p for k in tied for p in results[k][1])
         cls = results[0][2]
         pruned = sum(r[3] for r in results)
     else:
         best, canonical, cls, pruned = _search(inst, mode)
 
-    # each canonical order stands for the product of its class sizes' factorials
-    size = len(canonical) * math.prod(map(math.factorial, Counter(cls).values()))
-    if size > ARGMAX_LIMIT:
-        raise SolverError(
-            f"the argmax set has {size} orders, over the limit of {ARGMAX_LIMIT} "
-            "(9!) that brute force lists"
-        )
-    orders = Orders(_engine.expand(canonical, cls))
+    orders = _listed(canonical, cls)
     return SolveResult(
         best_order=orders[0],
         best_value=best,
@@ -131,16 +122,34 @@ def _search(inst: Instance, mode: str, first: Optional[int] = None):
     return _engine.best_orders_float(inst, first=first, tol=FLOAT_TIE_TOL)
 
 
-def _class_firsts(inst: Instance, mode: str) -> list[int]:
-    """The first member of each class of interchangeable journals: one
-    slice of the tree each for the parallel driver."""
-    prepare = _engine.prepare if mode == "exact" else _engine.prepare_float
-    return sorted(set(_engine.classes(prepare(inst)[0])))
-
-
 def _tie_tol(mode: str):
     """Tie tolerance of a mode: exact values tie only when equal."""
+    if mode not in ("exact", "float"):
+        raise SolverError(f"mode must be 'exact' or 'float', got {mode!r}")
     return 0 if mode == "exact" else FLOAT_TIE_TOL
+
+
+def _prepare(inst: Instance, mode: str):
+    """Kernel inputs of a mode (see _engine.prepare)."""
+    return (_engine.prepare if mode == "exact" else _engine.prepare_float)(inst)
+
+
+def _check_listing(size: int) -> None:
+    """SolverError, before anything is listed, for an argmax set too big to list."""
+    if size > ARGMAX_LIMIT:
+        raise SolverError(
+            f"the argmax set has {size} orders, over the limit of {ARGMAX_LIMIT} "
+            "(9!) that a solver lists"
+        )
+
+
+def _listed(canonical, classes) -> Orders:
+    """Every order that relabels a canonical perm within its classes (see
+    _engine.expand), in lexicographic order."""
+    # each canonical order stands for the product of its class sizes' factorials
+    _check_listing(len(canonical) * math.prod(map(math.factorial,
+                                                  Counter(classes).values())))
+    return Orders(_engine.expand(canonical, classes))
 
 
 def _falling_factorial_total(n: int) -> int:
@@ -156,8 +165,10 @@ def index_order_no_feedback(inst: Instance) -> SolveResult:
 
     Valid when no journal gives feedback (q = 0 everywhere): then the
     static index order is optimal for any prior and any costs.  Journals
-    with a = 0 never pay and sort last.  Ties expand the argmax set (all
-    interleavings of tied groups), truncated at 1000 orders.
+    with a = 0 never pay and sort last.  Journals with equal keys (the
+    a = 0 ones among them) are interchangeable, so the argmax set holds
+    every order that permutes them, in lexicographic order; a set over
+    ARGMAX_LIMIT orders raises SolverError.
     """
     offenders = [j.name for j in inst.journals if j.q != 0]
     if offenders:
@@ -166,31 +177,22 @@ def index_order_no_feedback(inst: Instance) -> SolveResult:
             + ", ".join(offenders)
         )
     js = inst.journals
-    keys = []
-    for j in js:
-        keys.append(None if j.a == 0 else j.u - j.c / j.a)
+    keys = [_index_key(j) for j in js]
 
     def sort_key(i):
         k = keys[i]
         return (1, Fraction(0), i) if k is None else (0, -k, i)
 
-    ranked = sorted(range(len(js)), key=sort_key)
-    order = SearchOrder(tuple(ranked))
-    value = evaluate(inst, order).total
-
-    # journals with equal keys (a = 0 ones share None) form the tie classes
-    count = math.prod(map(math.factorial, Counter(keys).values()))
-    truncated = count > 1000
-    argmax = Orders((order.perm,) if truncated else _engine.expand([order.perm], keys))
+    order = SearchOrder(tuple(sorted(range(len(js)), key=sort_key)))
+    argmax = _listed([order.perm], keys)
     return SolveResult(
         best_order=order,
-        best_value=value,
+        best_value=evaluate(inst, order).total,
         argmax_set=argmax,
         method="index_no_feedback",
         details={
             "index": {j.name: keys[i] for i, j in enumerate(js)},
-            "tie_orders": count,
-            "argmax_truncated": truncated,
+            "tie_orders": len(argmax),
         },
     )
 
@@ -209,13 +211,10 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
             "subset DP needs order-independent belief updates; pair "
             f"{w['pair']} has a_i*q_j = {w['a_i*q_j']} != a_j*q_i = {w['a_j*q_i']}"
         )
-    if mode not in ("exact", "float"):
-        raise SolverError(f"mode must be 'exact' or 'float', got {mode!r}")
+    tol = _tie_tol(mode)
     n = inst.size
     full = (1 << n) - 1
-    prepare = _engine.prepare if mode == "exact" else _engine.prepare_float
-    boxes, prior, (o, finish, _) = prepare(inst)
-    tol = _tie_tol(mode)
+    boxes, prior, (o, finish, _) = _prepare(inst, mode)
 
     # (H, L) mass reaching each rejection set; the commuting updates make
     # it order-free
@@ -237,32 +236,22 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     h, l = mass[full]
     value = [None] * (full + 1)
     value[full] = o * (h + l)
+    # best_moves[s]: the tied moves from s; count[s]: the tied orders on from s
     best_moves: list = [()] * (full + 1)
+    count = [1] * (full + 1)
     for s in range(full - 1, -1, -1):
         h, l = mass[s]
-        options = [(i, _engine.step(boxes[i], h, l, 0)[2] * rest[s | 1 << i]
-                    + value[s | 1 << i]) for i in range(n) if not s >> i & 1]
-        best_v = max(v for _, v in options)
-        slack = _engine.tie_slack(best_v, tol)
-        value[s] = best_v
-        best_moves[s] = tuple(i for i, v in options if v >= best_v - slack)
-
-    perm = []
-    s = 0
-    while s != full:
-        i = best_moves[s][0]
-        perm.append(i)
-        s |= 1 << i
-    order = SearchOrder(tuple(perm))
+        moves = [i for i in range(n) if not s >> i & 1]
+        value[s], tied = _engine.ties(
+            [_engine.step(boxes[i], h, l, 0)[2] * rest[s | 1 << i] + value[s | 1 << i]
+             for i in moves], tol)
+        best_moves[s] = tuple(moves[k] for k in tied)
+        count[s] = sum(count[s | 1 << i] for i in best_moves[s])
+    _check_listing(count[0])
 
     argmax: list = []
-    truncated = False
 
     def expand(s, acc):
-        nonlocal truncated
-        if len(argmax) >= ARGMAX_ENUM_CAP:
-            truncated = True
-            return
         if s == full:
             argmax.append(tuple(acc))
             return
@@ -273,11 +262,11 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
 
     expand(0, [])
     return SolveResult(
-        best_order=order,
+        best_order=SearchOrder(argmax[0]),
         best_value=finish(value[0]),
         argmax_set=Orders(argmax),
         method="subset_dp",
-        details={"states": 1 << n, "argmax_truncated": truncated},
+        details={"states": 1 << n},
     )
 
 
@@ -421,44 +410,28 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
     per_order defaults to True up to 4 journals (24 columns); beyond
     that only the best order and value are reported per grid point.
     """
-    if mode not in ("exact", "float"):
-        raise SolverError(f"mode must be 'exact' or 'float', got {mode!r}")
+    tol = _tie_tol(mode)
     n = inst.size
     if per_order is None:
         per_order = n <= 4
-    perms = list(itertools.permutations(range(n))) if per_order else None
-    prepare = _engine.prepare if mode == "exact" else _engine.prepare_float
     names = inst.journal_names()
-
-    def label(perm):
-        return ">".join(names[i] for i in perm)
+    perms = list(itertools.permutations(range(n))) if per_order else ()
+    labels = tuple(">".join(names[i] for i in p) for p in perms) if per_order else ("best",)
 
     rows = []
-    if per_order:
-        labels = tuple(label(p) for p in perms)
-        for mu in grid:
-            point = inst.with_prior(parse_number(mu))
-            boxes, prior, outside = prepare(point)
-            values = [_engine.order_value(boxes, p, prior, outside) for p in perms]
-            best_val = max(values)
-            slack = _engine.tie_slack(best_val, _tie_tol(mode))
-            ties = [k for k in range(len(perms)) if values[k] >= best_val - slack]
-            best_idx = min(ties, key=lambda k: perms[k])
-            rows.append({
-                "mu": parse_number(mu) if mode == "exact" else float(parse_number(mu)),
-                "values": tuple(values),
-                "best": labels[best_idx],
-                "tie": len(ties) > 1,
-            })
-    else:
-        labels = ("best",)
-        for mu in grid:
-            point = inst.with_prior(parse_number(mu))
+    for mu in map(parse_number, grid):
+        point = inst.with_prior(mu)
+        if per_order:
+            boxes, prior, outside = _prepare(point, mode)
+            values = tuple(_engine.order_value(boxes, p, prior, outside) for p in perms)
+            # the perms run in lexicographic order, so the first tie is the least
+            ties = _engine.ties(values, tol)[1]
+            best, tie = labels[ties[0]], len(ties) > 1
+        else:
             res = brute_force_optimal(point, mode=mode)
-            rows.append({
-                "mu": parse_number(mu) if mode == "exact" else float(parse_number(mu)),
-                "values": (res.best_value,),
-                "best": res.best_order.label(point).replace(" > ", ">"),
-                "tie": len(res.argmax_set) > 1,
-            })
+            values = (res.best_value,)
+            best = res.best_order.label(point).replace(" > ", ">")
+            tie = len(res.argmax_set) > 1
+        rows.append({"mu": mu if mode == "exact" else float(mu), "values": values,
+                     "best": best, "tie": tie})
     return SweepResult(labels=labels, rows=tuple(rows), mode=mode)

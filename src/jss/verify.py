@@ -54,6 +54,7 @@ from .model import (
     format_number,
     monotone_order,
     normalize,
+    plain,
     update_belief,
 )
 from .sim import simulate_batch
@@ -129,8 +130,7 @@ class _Trials:
         entry = {"trial": trial, "seed": self.seed_of(trial), "message": message}
         if inst is not None:
             entry["instance"] = dump_instance(inst)
-        for k, v in data.items():
-            entry[k] = format_number(v) if isinstance(v, Fraction) else v
+        entry.update(plain(data))
         self.report.failures.append(entry)
 
     def note(self, text: str) -> None:

@@ -149,6 +149,19 @@ def test_argmax_limit_exits_2_fast(tmp_path, capsys):
     assert "over the limit of 362880 (9!)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["dp", "index"])
+def test_argmax_limit_exits_2_fast_for_dp_and_index(algorithm, tmp_path, capsys):
+    import time
+
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps({"journals": [{"u": "2", "a": "1/3", "q": "0"}] * 10,
+                                "prior_h": "1/2"}))
+    t0 = time.perf_counter()
+    assert main(["solve", "-i", str(path), "--algorithm", algorithm]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "over the limit of 362880 (9!)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("u", "1e400"), ("u", "-1e400"), ("c", "1e400"), ("outside_option", "1e400"),
     ("c", "1e308"),     # each field fits, but two costs of 1e308 do not

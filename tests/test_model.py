@@ -18,6 +18,7 @@ from jss import (
     Journal,
     ModelError,
     SearchOrder,
+    brute_force_optimal,
     check_order,
     dump_instance,
     evaluate,
@@ -128,7 +129,15 @@ def test_update_belief_certain_acceptance_convention():
     j = Journal("sure", 1, 1, 0)
     assert update_belief(j, Belief(F(1))).mu_h == 1
     jf = update_belief(j, Belief(1.0))
-    assert isinstance(jf.mu_h, float) and jf.mu_h == 1.0
+    assert isinstance(jf.mu_h, F) and jf.mu_h == 1
+
+
+def test_belief_parses_floats_like_journal_fields(pair):
+    # 0.3 means 3/10, as in Journal fields and with_prior, not the binary double
+    assert Belief(0.3) == Belief("3/10") == Belief(F(3, 10))
+    floated = brute_force_optimal(Instance(pair.journals, Belief(0.3)))
+    assert floated.best_value == brute_force_optimal(pair.with_prior(0.3)).best_value
+    assert floated.best_value == F(29, 50)
 
 
 def test_update_belief_no_signal_is_identity():
