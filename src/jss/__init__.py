@@ -49,7 +49,6 @@ from .solver import (
     payoff_sweep,
     prior_threshold_2box,
     subset_dp_optimal,
-    value_difference,
 )
 from .generators import (
     FAMILIES,
@@ -120,6 +119,5 @@ __all__ = [
     "simulate_batch",
     "subset_dp_optimal",
     "update_belief",
-    "value_difference",
     "__version__",
 ]

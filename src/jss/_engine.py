@@ -24,7 +24,7 @@ the same step with d = 1 and float coefficients.
 The walk prunes with a payoff bound that keeps every tie; see _walk.
 
 model.evaluate stays the readable Bayes-form reference; tests pin
-order_value and both walkers against it.
+order_value, order_line and both walkers against it.
 """
 from __future__ import annotations
 
@@ -97,6 +97,22 @@ def order_value(boxes, perm, prior, outside):
         h, l, v = step(boxes[i], h, l, v)
     o, finish, _ = outside
     return finish(v + o * (h + l))
+
+
+def order_line(kernel, perm):
+    """An order's values (vH, vL) at priors 1 and 0, from a kernel of
+    prepare() or prepare_float() at any prior.  The walk is linear in the
+    mass (h, l), so at prior mu the order is worth mu vH + (1 - mu) vL.
+
+    Exact finish divides by E m prod(d), where m = H0 + L0 is the prior's
+    denominator, and the walk from (m, 0) totals m times the walk from
+    (1, 0), so (m, 0) and (0, m) give the endpoints.  Float finish has no
+    prior scale, so the float endpoints are (1, 0) and (0, 1); there
+    H0 + L0 = fl(mu + fl(1 - mu)) = 1 for every double mu in [0, 1].
+    """
+    boxes, (h0, l0), outside = kernel
+    return (order_value(boxes, perm, (h0 + l0, 0), outside),
+            order_value(boxes, perm, (0, h0 + l0), outside))
 
 
 def tie_slack(best, tol):

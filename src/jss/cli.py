@@ -186,7 +186,7 @@ def cmd_solve(args) -> int:
     if args.algorithm == "brute":
         res = brute_force_optimal(inst, mode=args.mode, threads=threads)
     elif args.algorithm == "index":
-        res = index_order_no_feedback(inst)
+        res = index_order_no_feedback(inst, mode=args.mode)
     elif args.algorithm == "dp":
         res = subset_dp_optimal(inst, mode=args.mode)
     else:

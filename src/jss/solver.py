@@ -24,8 +24,7 @@ from .model import (
     ModelError,
     Orders,
     SearchOrder,
-    check_order,
-    evaluate,
+    evaluate,  # unused: perfbench's tracer wraps this binding and its tests assert it
     format_number,
     monotone_order,
     parse_number,
@@ -130,8 +129,8 @@ def _tie_tol(mode: str):
 
 
 def _prepare(inst: Instance, mode: str):
-    """Kernel inputs of a mode (see _engine.prepare)."""
-    return (_engine.prepare if mode == "exact" else _engine.prepare_float)(inst)
+    """Kernel inputs of a mode (see _engine.prepare); _tie_tol checks the mode."""
+    return (_engine.prepare_float if _tie_tol(mode) else _engine.prepare)(inst)
 
 
 def _check_listing(size: int) -> None:
@@ -160,7 +159,7 @@ def _falling_factorial_total(n: int) -> int:
     return total
 
 
-def index_order_no_feedback(inst: Instance) -> SolveResult:
+def index_order_no_feedback(inst: Instance, mode: str = "exact") -> SolveResult:
     """Sort by the cost-adjusted index u - c/a (feedback-free case only).
 
     Valid when no journal gives feedback (q = 0 everywhere): then the
@@ -184,10 +183,11 @@ def index_order_no_feedback(inst: Instance) -> SolveResult:
         return (1, Fraction(0), i) if k is None else (0, -k, i)
 
     order = SearchOrder(tuple(sorted(range(len(js)), key=sort_key)))
+    boxes, prior, outside = _prepare(inst, mode)
     argmax = _listed([order.perm], keys)
     return SolveResult(
         best_order=order,
-        best_value=evaluate(inst, order).total,
+        best_value=_engine.order_value(boxes, order.perm, prior, outside),
         argmax_set=argmax,
         method="index_no_feedback",
         details={
@@ -270,19 +270,18 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     )
 
 
-def pairwise_swap_local_search(inst: Instance, start: Optional[SearchOrder] = None,
-                               mode: str = "exact") -> SolveResult:
+def pairwise_swap_local_search(inst: Instance, mode: str = "exact") -> SolveResult:
     """Hill-climb by adjacent swaps until no swap improves the value.
 
-    Starts from the payoff-sorted order unless told otherwise.  The
+    Starts from the payoff-sorted order, and a swap improves only beyond
+    the mode's tie slack, so float mode leaves exact ties alone.  The
     result is a local optimum of the swap neighbourhood, not certified
-    global; details.swaps counts accepted swaps.
-    """
-    order = list((start or monotone_order(inst)).perm)
-    check_order(inst, SearchOrder(tuple(order)))
-    current = evaluate(inst, SearchOrder(tuple(order)), mode).total
-    swaps = 0
-    sweeps = 0
+    global; details.swaps counts accepted swaps."""
+    tol = _tie_tol(mode)
+    boxes, prior, outside = _prepare(inst, mode)
+    order = list(monotone_order(inst).perm)
+    current = _engine.order_value(boxes, order, prior, outside)
+    swaps = sweeps = 0
     improved = True
     while improved:
         improved = False
@@ -290,8 +289,8 @@ def pairwise_swap_local_search(inst: Instance, start: Optional[SearchOrder] = No
         for t in range(inst.size - 1):
             cand = order.copy()
             cand[t], cand[t + 1] = cand[t + 1], cand[t]
-            v = evaluate(inst, SearchOrder(tuple(cand)), mode).total
-            if v > current:
+            v = _engine.order_value(boxes, cand, prior, outside)
+            if v > current + _engine.tie_slack(current, tol):
                 order, current = cand, v
                 swaps += 1
                 improved = True
@@ -335,28 +334,12 @@ class ThresholdResult:
         return f"payoff-sorted order optimal at {side} prior{note}"
 
 
-def value_difference(inst: Instance, mu) -> Fraction:
-    """Sorted-first minus swapped-first expected payoff at prior mu."""
-    pair = inst.with_prior(mu)
-    a = evaluate(pair, SearchOrder((0, 1))).total
-    b = evaluate(pair, SearchOrder((1, 0))).total
-    return a - b
-
-
 def prior_threshold_2box(j1: Journal, j2: Journal, outside_option=0) -> ThresholdResult:
-    """Exact prior threshold between the two orders of a two-journal set.
-
-    The payoff difference between the two orders is linear in the prior
-    (the belief denominators cancel against survival), so evaluating the
-    endpoints solves it exactly; a midpoint assertion guards the
-    linearity.
-    """
-    inst = Instance((j1, j2), Belief(Fraction(1, 2)), parse_number(outside_option))
-    d0 = value_difference(inst, Fraction(0))
-    d1 = value_difference(inst, Fraction(1))
-    dh = value_difference(inst, Fraction(1, 2))
-    if 2 * dh != d0 + d1:
-        raise AssertionError("two-box value difference is not linear in the prior")
+    """Exact prior threshold between the two orders of a two-journal set,
+    from the ends of each order's line in the prior (see _engine.order_line)."""
+    kernel = _engine.prepare(Instance((j1, j2), Belief(1), outside_option))
+    (a1, a0), (b1, b0) = (_engine.order_line(kernel, p) for p in ((0, 1), (1, 0)))
+    d0, d1 = a0 - b0, a1 - b1
 
     if d0 == 0 and d1 == 0:
         return ThresholdResult("always", None, None, True, d0, d1)
@@ -417,21 +400,23 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
     names = inst.journal_names()
     perms = list(itertools.permutations(range(n))) if per_order else ()
     labels = tuple(">".join(names[i] for i in p) for p in perms) if per_order else ("best",)
+    kernel = _prepare(inst, mode) if per_order else None
+    lines = [_engine.order_line(kernel, p) for p in perms]
 
     rows = []
-    for mu in map(parse_number, grid):
-        point = inst.with_prior(mu)
+    for mu in grid:
+        mu = Belief(mu).mu_h    # parsed, and checked to lie in [0, 1]
+        at = mu if mode == "exact" else float(mu)
         if per_order:
-            boxes, prior, outside = _prepare(point, mode)
-            values = tuple(_engine.order_value(boxes, p, prior, outside) for p in perms)
+            values = tuple(at * vh + (1 - at) * vl for vh, vl in lines)
             # the perms run in lexicographic order, so the first tie is the least
             ties = _engine.ties(values, tol)[1]
             best, tie = labels[ties[0]], len(ties) > 1
         else:
+            point = inst.with_prior(mu)
             res = brute_force_optimal(point, mode=mode)
             values = (res.best_value,)
             best = res.best_order.label(point).replace(" > ", ">")
             tie = len(res.argmax_set) > 1
-        rows.append({"mu": mu if mode == "exact" else float(mu), "values": values,
-                     "best": best, "tie": tie})
+        rows.append({"mu": at, "values": values, "best": best, "tie": tie})
     return SweepResult(labels=labels, rows=tuple(rows), mode=mode)

@@ -572,8 +572,8 @@ def verify_normalization_shift(trials: int = 200,
                 t.fail(inst, "argmax set changed under shift", shift=Fraction(K))
                 break
             if k % 10 == 0:
-                f0 = evaluate(inst, mono, "float").total
-                f1 = evaluate(shifted, monotone_order(shifted), "float").total
+                f0, f1 = (_engine.order_value(b, mono.perm, p, o) for b, p, o in
+                          map(_engine.prepare_float, (inst, shifted)))
                 if abs(f1 - (f0 - float(K))) > 1e-9:
                     t.fail(inst, "float-mode shift drifted")
                     break

@@ -162,6 +162,25 @@ def test_argmax_limit_exits_2_fast_for_dp_and_index(algorithm, tmp_path, capsys)
     assert "over the limit of 362880 (9!)" in capsys.readouterr().err
 
 
+def test_index_rule_answers_in_the_mode_asked(tmp_path, capsys):
+    from fractions import Fraction
+
+    from jss import Belief, Instance, Journal
+    from jss._engine import FLOAT_TIE_TOL
+
+    path = tmp_path / "nofb.json"
+    save_instance(Instance((Journal("HI", 10, "1/2", 0, c=1),
+                            Journal("LO", 9, "9/10", 0, c="9/100")), Belief("1/3"),
+                           "1/7"), path)
+    argv = ["solve", "-i", str(path), "--algorithm", "index", "--json"]
+    assert main(argv) == 0
+    exact = Fraction(json.loads(capsys.readouterr().out)["best_value"])
+    assert main([*argv, "--mode", "float"]) == 0
+    got = json.loads(capsys.readouterr().out)["best_value"]
+    assert isinstance(got, float)
+    assert abs(got - exact) <= FLOAT_TIE_TOL * max(1, abs(exact))
+
+
 @pytest.mark.parametrize("field, value", [
     ("u", "1e400"), ("u", "-1e400"), ("c", "1e400"), ("outside_option", "1e400"),
     ("c", "1e308"),     # each field fits, but two costs of 1e308 do not

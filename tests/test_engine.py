@@ -71,6 +71,33 @@ def test_order_value_matches_evaluate(inst):
         assert got == pytest.approx(float(want), rel=FLOAT_RTOL, abs=FLOAT_RTOL)
 
 
+costly = st.builds(
+    lambda js, prior, outside: Instance(
+        tuple(Journal(f"J{k}", j.u, j.a, j.q, c) for k, (j, c) in enumerate(js)),
+        Belief(prior), outside),
+    st.lists(st.tuples(journal, _fractions(F(1, 12), 2)), min_size=1, max_size=4),
+    unit,
+    _fractions(-3, 3).filter(bool),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(inst=costly, priors=st.lists(unit, min_size=1, max_size=3))
+def test_order_line_matches_evaluate(inst, priors):
+    # the kernel is prepared at the instance's own prior, whose denominator
+    # is already in the exact finish; the line must not depend on it
+    exact = _engine.prepare(inst)
+    floats = _engine.prepare_float(inst)
+    for perm in itertools.permutations(range(inst.size)):
+        vh, vl = _engine.order_line(exact, perm)
+        fh, fl = _engine.order_line(floats, perm)
+        for mu in priors:
+            want = evaluate(inst.with_prior(mu), SearchOrder(perm)).total
+            assert mu * vh + (1 - mu) * vl == want
+            got = float(mu) * fh + (1 - float(mu)) * fl
+            assert got == pytest.approx(float(want), rel=FLOAT_RTOL, abs=FLOAT_RTOL)
+
+
 @settings(max_examples=120, deadline=None)
 @given(inst=instances)
 def test_walkers_return_the_maximisers_of_evaluate(inst):

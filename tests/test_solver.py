@@ -25,8 +25,8 @@ from jss import (
     payoff_sweep,
     prior_threshold_2box,
     subset_dp_optimal,
-    value_difference,
 )
+from jss._engine import FLOAT_TIE_TOL
 from jss.catalog import BY_NAME
 from jss.model import Orders
 from jss.generators import sample_order_independent
@@ -230,6 +230,20 @@ def test_index_rule_lists_tied_orders_lexicographically():
     assert set(res.argmax_set) <= set(brute.argmax_set)
 
 
+def test_index_rule_float_mode():
+    hi = Journal("HI", 10, F(1, 2), 0, c=1)
+    lo = Journal("LO", 9, F(9, 10), 0, c=F(9, 100))
+    inst = Instance((hi, lo), Belief(F(1, 3)), outside_option=F(1, 7))
+    exact = index_order_no_feedback(inst)
+    floats = index_order_no_feedback(inst, mode="float")
+    assert isinstance(floats.best_value, float)
+    assert abs(floats.best_value - exact.best_value) <= FLOAT_TIE_TOL * max(
+        1, abs(exact.best_value))
+    assert floats.argmax_set == exact.argmax_set
+    with pytest.raises(SolverError, match="mode must be"):
+        index_order_no_feedback(inst, mode="fast")
+
+
 # ---------------------------------------------------------------------------
 # subset DP
 
@@ -301,23 +315,33 @@ def test_subset_dp_float_mode(block):
 # local search
 
 
-def test_local_search_climbs_to_the_optimum(pair):
-    inst = pair.with_prior(F(7, 10))
-    res = pairwise_swap_local_search(inst, start=SearchOrder((1, 0)))
-    assert res.best_order.perm == (0, 1)
-    assert res.best_value == F(443, 500)
-    assert res.details["swaps"] == 1
-    assert res.details["certified_global"] is False
-
-
 def test_local_search_defaults_to_monotone_start(pair):
     res = pairwise_swap_local_search(pair)  # prior 1/2: swapped order wins
     assert res.best_order.perm == (1, 0)
     assert res.best_value == F(7, 10)
+    assert res.details["swaps"] == 1
+    assert res.details["certified_global"] is False
+
+
+def test_local_search_float_mode_keeps_exact_ties():
+    # equal index keys u - c/a = 21/4 and q = 0: both orders tie at every
+    # prior, but the float kernel rates the swapped one an ulp higher
+    inst = Instance((Journal("A", F(37, 4), F(1, 4), 0, c=1),
+                     Journal("B", F(13, 2), F(1, 5), 0, c=F(1, 4))), Belief(F(19, 64)))
+    for mode in ("exact", "float"):
+        res = pairwise_swap_local_search(inst, mode=mode)
+        assert res.best_order.perm == (0, 1)
+        assert res.details["swaps"] == 0
 
 
 # ---------------------------------------------------------------------------
 # two-box thresholds
+
+
+def _gap(inst, mu):
+    """Payoff-sorted minus swapped two-journal order at prior mu, by evaluate."""
+    at = inst.with_prior(mu)
+    return evaluate(at, SearchOrder((0, 1))).total - evaluate(at, SearchOrder((1, 0))).total
 
 
 def test_threshold_showcase_endpoints(pair):
@@ -347,9 +371,9 @@ def test_threshold_catalog_boundaries(case, boundary):
     assert res.direction == "above"
     # the certificate matches direct evaluation on either side
     eps = F(1, 1000)
-    assert value_difference(inst, boundary) == 0
-    assert value_difference(inst, boundary + eps) > 0
-    assert value_difference(inst, boundary - eps) < 0
+    assert _gap(inst, boundary) == 0
+    assert _gap(inst, boundary + eps) > 0
+    assert _gap(inst, boundary - eps) < 0
 
 
 def test_threshold_direction_below():
@@ -363,8 +387,8 @@ def test_threshold_direction_below():
     assert res.direction == "below"
     assert res.diff_at_0 == F(1, 2) and res.diff_at_1 == F(-1, 10)
     inst = Instance((j1, j2), Belief(F(1, 2)))
-    assert value_difference(inst, F(5, 6) - F(1, 100)) > 0
-    assert value_difference(inst, F(5, 6) + F(1, 100)) < 0
+    assert _gap(inst, F(5, 6) - F(1, 100)) > 0
+    assert _gap(inst, F(5, 6) + F(1, 100)) < 0
 
 
 def test_threshold_always_and_never():
@@ -377,13 +401,6 @@ def test_threshold_always_and_never():
     res = prior_threshold_2box(slow, fast)
     assert res.kind == "never" and not res.degenerate
     assert res.mu_star is None
-
-
-def test_value_difference_is_affine_in_the_prior(pair):
-    d0 = value_difference(pair, F(0))
-    d1 = value_difference(pair, F(1))
-    for mu in (F(1, 7), F(1, 2), F(12, 13)):
-        assert value_difference(pair, mu) == (1 - mu) * d0 + mu * d1
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +436,21 @@ def test_payoff_sweep_tie_row_prefers_lexicographic(pair):
     assert table.rows[2]["best"] == "J1>J2"
 
 
-def test_payoff_sweep_float_ties_match_exact():
+def test_payoff_sweep_float_ties_match_exact(pair):
     # the float sweep's tie flag and best column follow the brute-force
-    # tolerance rule, so they agree with exact arithmetic
+    # tolerance rule, so they agree with exact arithmetic, also where every
+    # order ties (identical journals) and at a crossing's exact prior
     grid = belief_grid(0, 1, 11)
-    for seed in range(150):
-        rng = random.Random(seed)
-        inst = sample_order_independent(rng, rng.randint(2, 4))
-        exact = payoff_sweep(inst, grid)
-        floats = payoff_sweep(inst, grid, mode="float")
+    cases = [(sample_order_independent(rng, rng.randint(2, 4)), grid)
+             for rng in map(random.Random, range(150))]
+    cases += [(_identical(n), grid) for n in (2, 3, 4)]
+    cases.append((pair, (F(0), F(17, 29), F(1, 2), F(1))))
+    for k, (inst, points) in enumerate(cases):
+        exact = payoff_sweep(inst, points)
+        floats = payoff_sweep(inst, points, mode="float")
         for e, f in zip(exact.rows, floats.rows):
-            assert (f["tie"], f["best"]) == (e["tie"], e["best"]), (seed, e["mu"])
+            assert (f["tie"], f["best"]) == (e["tie"], e["best"]), (k, e["mu"])
+    assert [row["tie"] for row in exact.rows] == [False, True, False, False]
 
 
 def test_payoff_sweep_csv_shape(pair):
