@@ -10,6 +10,7 @@ import argparse
 import inspect
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -118,6 +119,23 @@ def _threads(args) -> int:
     return 1
 
 
+def _int_flag(low, high, bounds: str):
+    """argparse type: an integer n with low <= n < high."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < high:
+            raise argparse.ArgumentTypeError(f"needs an integer {bounds}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _int_flag(1, math.inf, ">= 1")
+_seed = _int_flag(0, 2 ** 64, "in [0, 2**64)")
+
+
 def build_parser() -> Parser:
     p = Parser(prog="jss", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -135,7 +153,7 @@ def build_parser() -> Parser:
     sp.add_argument("--algorithm", choices=("brute", "index", "dp", "local"),
                     default="brute")
     sp.add_argument("--mode", choices=("exact", "float"), default="exact")
-    sp.add_argument("--threads", type=int, default=None,
+    sp.add_argument("--threads", type=_count, default=None,
                     help="worker processes for brute force (default: JSS_THREADS or 1)")
 
     sp = sub.add_parser("check", help="run hypothesis checks on an instance")
@@ -163,17 +181,17 @@ def build_parser() -> Parser:
     common(sp)
     sp.add_argument("--order", default="monotone",
                     help="comma-separated journal names, 'monotone', or 'best'")
-    sp.add_argument("--episodes", type=int, default=100000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--episodes", type=_count, default=100000)
+    sp.add_argument("--seed", type=_seed, default=0)
 
     sp = sub.add_parser("verify", help="run randomized verification suites")
     sp.add_argument("--suite", action="append", default=None,
                     help=f"suite name or 'all' (repeatable); choices: "
                          f"{', '.join(sorted(verify_mod.SUITES))}")
-    sp.add_argument("--trials", type=int, default=None,
+    sp.add_argument("--trials", type=_count, default=None,
                     help="override trial count where a suite takes one")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--episodes", type=int, default=None,
+    sp.add_argument("--seed", type=_seed, default=None)
+    sp.add_argument("--episodes", type=_count, default=None,
                     help="episodes per run for the mc_consistency suite")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out", help="write output to a file instead of stdout")
@@ -204,7 +222,7 @@ def cmd_solve(args) -> int:
         "best_order_positions": list(res.best_order.perm),
         "best_value": res.best_value,
         "best_value_float": float(res.best_value),
-        "argmax": _name_lists(names, res.argmax_set.perms),
+        "argmax": _name_lists(names, res.argmax_set),
         "details": res.details,
     }
     _emit(args, None, payload)
@@ -294,8 +312,6 @@ def cmd_simulate(args) -> int:
             order = SearchOrder(tuple(names.index(w) for w in wanted))
         except ValueError:
             raise UsageError(f"--order names must be a permutation of {names}")
-    if args.episodes < 1:
-        raise UsageError("--episodes must be positive")
     trace = evaluate(inst, order)
     mean, se, freqs = simulate_batch(inst, order, args.episodes, args.seed)
     exact = float(trace.total)

@@ -69,8 +69,9 @@ def check_regularity(inst: Instance, strict: bool = False,
     """Payoffs and feedback rates non-increasing, acceptance rates
     non-decreasing down the payoff-sorted list; `strict` demands strict
     inequalities, `exponential` additionally wants each payoff at least
-    twice the next one.  passed reflects the requested variant; details
-    report all four variants at once.
+    twice the next one.  passed reflects the requested variant, and holds
+    exactly when there is no witness; details report all four variants
+    at once.
     """
     js = inst.journals
     adjacent = list(zip(js, js[1:]))
@@ -86,34 +87,20 @@ def check_regularity(inst: Instance, strict: bool = False,
 
     slacks = u_slacks + q_slacks + a_slacks + (exp_slacks if exponential else [])
     margin = _min_margin(slacks)
-    if exponential and strict:
-        passed = strict_expo
-    elif exponential:
-        passed = expo
-    elif strict:
-        passed = strictly
-    else:
-        passed = weak
-
-    witnesses = []
-    for k, (hi, lo) in enumerate(adjacent):
-        bad = []
-        if hi.u < lo.u or (strict and hi.u == lo.u):
-            bad.append(("u", hi.u, lo.u))
-        if hi.q < lo.q or (strict and hi.q == lo.q):
-            bad.append(("q", hi.q, lo.q))
-        if hi.a > lo.a or (strict and hi.a == lo.a):
-            bad.append(("a", hi.a, lo.a))
-        if exponential and (hi.u < 2 * lo.u or (strict and hi.u == 2 * lo.u)):
-            bad.append(("u_ratio", hi.u, lo.u))
-        for kind, x, y in bad:
-            witnesses.append({"pair": (hi.name, lo.name), "field": kind,
-                              "values": (x, y)})
+    checked = [("u", "u", u_slacks), ("q", "q", q_slacks), ("a", "a", a_slacks)]
+    if exponential:
+        checked.append(("u_ratio", "u", exp_slacks))
+    witnesses = tuple(
+        {"pair": (hi.name, lo.name), "field": kind,
+         "values": (getattr(hi, attr), getattr(lo, attr))}
+        for k, (hi, lo) in enumerate(adjacent)
+        for kind, attr, field_slacks in checked
+        if field_slacks[k] < 0 or (strict and field_slacks[k] == 0))
     return ConditionReport(
         condition="regularity",
-        passed=passed,
+        passed=not witnesses,
         margin=margin,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         details={
             "regular": weak,
             "strict_regular": strictly,

@@ -13,7 +13,6 @@ exactly or in float arithmetic depending on `mode`.
 """
 from __future__ import annotations
 
-import collections.abc
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -187,54 +186,12 @@ class SearchOrder:
         object.__setattr__(self, "perm", tuple(int(i) for i in self.perm))
 
     @classmethod
-    def _of(cls, perm: tuple[int, ...]) -> "SearchOrder":
-        """The order of a perm that is already a tuple of ints, without the
-        __init__ and __post_init__ calls."""
-        order = object.__new__(cls)
-        order.__dict__["perm"] = perm
-        return order
-
-    @classmethod
     def identity(cls, n: int) -> "SearchOrder":
         return cls(tuple(range(n)))
 
     def label(self, inst: Instance) -> str:
         names = inst.journal_names()
         return " > ".join(names[i] for i in self.perm)
-
-
-class Orders(collections.abc.Sequence):
-    """Read-only sequence of the SearchOrders of some perms (tuples of
-    ints), each order built when it is read: an argmax set of 8! tied
-    orders costs no order objects until a caller reads them.  It equals
-    the tuple of the same orders."""
-
-    __slots__ = ("perms",)
-
-    def __init__(self, perms):
-        self.perms = tuple(perms)
-
-    def __len__(self) -> int:
-        return len(self.perms)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(SearchOrder._of, self.perms[k]))
-        return SearchOrder._of(self.perms[k])
-
-    def __iter__(self):
-        return map(SearchOrder._of, self.perms)
-
-    def __eq__(self, other):
-        if isinstance(other, Orders):
-            return self.perms == other.perms
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"Orders({self.perms!r})"
 
 
 def check_order(inst: Instance, order: SearchOrder) -> None:

@@ -22,7 +22,6 @@ from .model import (
     Instance,
     Journal,
     ModelError,
-    Orders,
     SearchOrder,
     evaluate,  # unused: perfbench's tracer wraps this binding and its tests assert it
     format_number,
@@ -40,9 +39,14 @@ class SolverError(ModelError):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solver's answer.  argmax_set holds the distinct optimal orders
+    as perms (tuples of positions into inst.journals) in lexicographic
+    order, so argmax_set[0] == best_order.perm; local search, which
+    certifies no optimum, lists only the order it stopped at."""
+
     best_order: SearchOrder
     best_value: object
-    argmax_set: Orders
+    argmax_set: tuple
     method: str
     details: dict = field(default_factory=dict, compare=False)
 
@@ -53,7 +57,7 @@ class SolveResult:
             f"best order: {self.best_order.label(inst)}",
             f"best value: {_show(self.best_value)}",
             "argmax set: " + ", ".join(" > ".join(map(names.__getitem__, p))
-                                       for p in self.argmax_set.perms),
+                                       for p in self.argmax_set),
         ]
         return "\n".join(lines)
 
@@ -102,11 +106,11 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     else:
         best, canonical, cls, pruned = _search(inst, mode)
 
-    orders = _listed(canonical, cls)
+    argmax = _listed(canonical, cls)
     return SolveResult(
-        best_order=orders[0],
+        best_order=SearchOrder(argmax[0]),
         best_value=best,
-        argmax_set=orders,
+        argmax_set=argmax,
         method="brute_force",
         details={"orders_considered": _falling_factorial_total(n), "threads": threads,
                  "pruned": pruned},
@@ -142,13 +146,13 @@ def _check_listing(size: int) -> None:
         )
 
 
-def _listed(canonical, classes) -> Orders:
+def _listed(canonical, classes) -> tuple:
     """Every order that relabels a canonical perm within its classes (see
     _engine.expand), in lexicographic order."""
     # each canonical order stands for the product of its class sizes' factorials
     _check_listing(len(canonical) * math.prod(map(math.factorial,
                                                   Counter(classes).values())))
-    return Orders(_engine.expand(canonical, classes))
+    return tuple(_engine.expand(canonical, classes))
 
 
 def _falling_factorial_total(n: int) -> int:
@@ -264,7 +268,7 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     return SolveResult(
         best_order=SearchOrder(argmax[0]),
         best_value=finish(value[0]),
-        argmax_set=Orders(argmax),
+        argmax_set=tuple(argmax),
         method="subset_dp",
         details={"states": 1 << n},
     )
@@ -298,7 +302,7 @@ def pairwise_swap_local_search(inst: Instance, mode: str = "exact") -> SolveResu
     return SolveResult(
         best_order=final,
         best_value=current,
-        argmax_set=Orders((final.perm,)),
+        argmax_set=(final.perm,),
         method="local_search",
         details={"sweeps": sweeps, "swaps": swaps, "certified_global": False},
     )
@@ -413,10 +417,9 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
             ties = _engine.ties(values, tol)[1]
             best, tie = labels[ties[0]], len(ties) > 1
         else:
-            point = inst.with_prior(mu)
-            res = brute_force_optimal(point, mode=mode)
+            res = brute_force_optimal(inst.with_prior(mu), mode=mode)
             values = (res.best_value,)
-            best = res.best_order.label(point).replace(" > ", ">")
+            best = ">".join(names[i] for i in res.argmax_set[0])
             tie = len(res.argmax_set) > 1
         rows.append({"mu": at, "values": values, "best": best, "tie": tie})
     return SweepResult(labels=labels, rows=tuple(rows), mode=mode)

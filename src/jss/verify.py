@@ -58,7 +58,12 @@ from .model import (
     update_belief,
 )
 from .sim import simulate_batch
-from .solver import brute_force_optimal, prior_threshold_2box, subset_dp_optimal
+from .solver import (
+    brute_force_optimal,
+    index_order_no_feedback,
+    prior_threshold_2box,
+    subset_dp_optimal,
+)
 
 
 # Family-wise false-alarm rate of one mc_consistency call's first attempts.
@@ -147,8 +152,6 @@ def verify_no_feedback_index(trials: int = 1000, seed: int = 101) -> Verificatio
     """Without feedback, sorting by the cost-adjusted index u - c/a is
     exhaustively optimal for any prior and any costs; with zero costs
     that is plain payoff sorting."""
-    from .solver import index_order_no_feedback
-
     t = _Trials(
         claim="q = 0 everywhere: the u - c/a index order matches the "
               "exhaustive optimum exactly", trials=trials, seed=seed)
@@ -165,7 +168,7 @@ def verify_no_feedback_index(trials: int = 1000, seed: int = 101) -> Verificatio
                    index_value=evaluate(inst, ranked.best_order).total,
                    optimum=res.best_value)
             continue
-        if ranked.best_order.perm not in [o.perm for o in res.argmax_set]:
+        if ranked.best_order.perm not in res.argmax_set:
             t.fail(inst, "index order missing from argmax set")
             continue
         if k % 4 == 0 and evaluate(inst, monotone_order(inst)).total != res.best_value:
@@ -214,7 +217,7 @@ def verify_order_independent_indexing(trials: int = 500,
             t.fail(inst, "subset DP disagrees with brute force",
                    dp_value=dp.best_value, optimum=res.best_value)
             continue
-        if sorted(o.perm for o in dp.argmax_set) != sorted(o.perm for o in res.argmax_set):
+        if dp.argmax_set != res.argmax_set:
             t.fail(inst, "subset DP argmax set differs")
             continue
         mu0 = inst.prior
@@ -276,14 +279,14 @@ def verify_two_box_base_case(trials: int = 1000, seed: int = 103) -> Verificatio
             prior = floor + (1 - floor) * _frac(rng, 0, 1, 64)
             inst = Instance((j1, j2), Belief(prior), 0)
             res = brute_force_optimal(inst)
-            if (0, 1) not in [o.perm for o in res.argmax_set]:
+            if (0, 1) not in res.argmax_set:
                 t.fail(inst, "weakly regular tie: payoff-sorted missing from argmax")
             continue
         res = brute_force_optimal(inst)
-        if [o.perm for o in res.argmax_set] != [(0, 1)]:
+        if res.argmax_set != ((0, 1),):
             t.fail(inst,
                    "strict regularity: argmax should be exactly the sorted order",
-                   argmax=[o.perm for o in res.argmax_set])
+                   argmax=res.argmax_set)
     case = BY_NAME["strong_feedback_showcase"]
     inside = case.instance(Fraction(167, 290))  # between 4/7 and 17/29
     res = brute_force_optimal(inside)
@@ -309,7 +312,6 @@ def verify_weak_feedback_monotonicity(trials: int = 500,
         n = rng.randint(2, 6)
         inst = sample_exp_regular_gbwf(rng, n)
         res = brute_force_optimal(inst)
-        perms = [o.perm for o in res.argmax_set]
         if k % 6 == 5 and n >= 3:
             # weak variant: collapse one adjacent a or q pair to a tie
             js = list(inst.journals)
@@ -323,11 +325,12 @@ def verify_weak_feedback_monotonicity(trials: int = 500,
                     and check_globally_bounded_weak_feedback(weak).passed):
                 continue
             wres = brute_force_optimal(weak)
-            if tuple(range(n)) not in [o.perm for o in wres.argmax_set]:
+            if tuple(range(n)) not in wres.argmax_set:
                 t.fail(weak, "weak regularity: payoff-sorted missing from argmax")
             continue
-        if perms != [tuple(range(n))]:
-            t.fail(inst, "payoff-sorted order not the unique optimum", argmax=perms)
+        if res.argmax_set != (tuple(range(n)),):
+            t.fail(inst, "payoff-sorted order not the unique optimum",
+                   argmax=res.argmax_set)
     return t.done()
 
 
@@ -550,7 +553,7 @@ def verify_normalization_shift(trials: int = 200,
                    for perm in itertools.permutations(range(n))]
         mono = monotone_order(inst)
         mono_value = evaluate(inst, mono).total
-        a0 = [o.perm for o in brute_force_optimal(inst).argmax_set]
+        a0 = brute_force_optimal(inst).argmax_set
         for K in (-3, 1, 10):
             shifted = normalize(inst, K)
             boxes1, prior1, out1 = _engine.prepare(shifted)
@@ -567,8 +570,7 @@ def verify_normalization_shift(trials: int = 200,
                 ok = False
             if not ok:
                 break
-            a1 = [o.perm for o in brute_force_optimal(shifted).argmax_set]
-            if a0 != a1:
+            if brute_force_optimal(shifted).argmax_set != a0:
                 t.fail(inst, "argmax set changed under shift", shift=Fraction(K))
                 break
             if k % 10 == 0:
@@ -606,8 +608,7 @@ def reproduce_counterexamples() -> VerificationReport:
             continue
         above = brute_force_optimal(case.instance(case.flip_boundary + eps))
         below = brute_force_optimal(case.instance(case.flip_boundary - eps))
-        if [o.perm for o in above.argmax_set] != [(0, 1)] or \
-                [o.perm for o in below.argmax_set] != [(1, 0)]:
+        if above.argmax_set != ((0, 1),) or below.argmax_set != ((1, 0),):
             t.fail(inst0, f"{case.name}: wrong side preference")
             continue
         if case.quoted_prior is not None:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from jss import example_pair, save_instance
+from jss import SearchOrder, example_pair, save_instance
 from jss.cli import main
 from jss.verify import VerificationReport
 
@@ -101,7 +101,7 @@ def _generic_solve_json(inst, res) -> str:
         "best_order_positions": list(res.best_order.perm),
         "best_value": format_number(value) if isinstance(value, Fraction) else value,
         "best_value_float": float(value),
-        "argmax": [[names[i] for i in o.perm] for o in res.argmax_set],
+        "argmax": [[names[i] for i in p] for p in res.argmax_set],
         "details": res.details,
     }, indent=2)
 
@@ -124,7 +124,7 @@ def test_solve_json_matches_the_plain_encoder(rates, mode, tmp_path, capsys):
     assert out == _generic_solve_json(inst, res) + "\n"
 
     assert main(["solve", "-i", str(path), "--mode", mode]) == 0
-    labels = ", ".join(o.label(inst) for o in res.argmax_set)
+    labels = ", ".join(SearchOrder(p).label(inst) for p in res.argmax_set)
     assert capsys.readouterr().out.endswith("\nargmax set: " + labels + "\n")
 
 
@@ -271,6 +271,26 @@ def test_simulate_output(pair_file, capsys):
 
     assert main(["simulate", "-i", pair_file, "--order", "J9,J1"]) == 1
     assert main(["simulate", "-i", pair_file, "--episodes", "0"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "mc_consistency", "--episodes", "0"],
+    ["verify", "--trials", "-3"],
+    ["verify", "--suite", "mc_consistency", "--seed", "-200"],
+    ["verify", "--seed", str(2 ** 64)],
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--episodes", "0"],
+    ["solve", "--threads", "-4"],
+    ["solve", "--threads", "0"],
+], ids=" ".join)
+def test_out_of_range_counts_and_seeds_are_usage_errors(argv, pair_file, capsys):
+    flag = argv[-2]
+    if argv[0] != "verify":
+        argv = [*argv, "-i", pair_file]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: argument {flag}: ")
+    assert "Traceback" not in captured.err and not captured.out
 
 
 def test_verify_subcommand(capsys):

@@ -28,7 +28,6 @@ from jss import (
 )
 from jss._engine import FLOAT_TIE_TOL
 from jss.catalog import BY_NAME
-from jss.model import Orders
 from jss.generators import sample_order_independent
 
 
@@ -52,7 +51,7 @@ def test_brute_force_two_box_sides(pair):
 def test_brute_force_tie_at_boundary(pair):
     res = brute_force_optimal(pair.with_prior(F(17, 29)))
     assert res.best_value == F(109, 145)
-    assert [o.perm for o in res.argmax_set] == [(0, 1), (1, 0)]
+    assert res.argmax_set == ((0, 1), (1, 0))
 
 
 def test_brute_force_agrees_with_plain_evaluation():
@@ -70,7 +69,7 @@ def test_brute_force_agrees_with_plain_evaluation():
     }
     best = max(by_hand.values())
     assert res.best_value == best
-    assert set(o.perm for o in res.argmax_set) == {
+    assert set(res.argmax_set) == {
         p for p, v in by_hand.items() if v == best
     }
 
@@ -86,18 +85,22 @@ def _identical(n, a=F(1, 3), q=F(1, 5)):
                     Belief(F(1, 2)))
 
 
+def _classes():
+    """Three identical journals, a distinct one and an identical pair."""
+    return Instance(_identical(3).journals + (Journal("K", 2, F(1, 2), F(1, 7)),)
+                    + tuple(Journal(f"L{k}", 1, F(1, 4), 0) for k in range(2)),
+                    Belief(F(3, 5)))
+
+
 def test_brute_force_thread_count_does_not_change_answer(pair):
     # the second instance has classes of interchangeable journals: the
     # split walks one slice per class and expands the merged argmax once
-    mixed = Instance(_identical(3).journals + (Journal("K", 2, F(1, 2), F(1, 7)),)
-                     + tuple(Journal(f"L{k}", 1, F(1, 4), 0) for k in range(2)),
-                     Belief(F(3, 5)))
-    for inst in (pair.with_prior(F(17, 29)), mixed):
+    for inst in (pair.with_prior(F(17, 29)), _classes()):
         for mode in ("exact", "float"):
             solo = brute_force_optimal(inst, mode=mode, threads=1)
             split = brute_force_optimal(inst, mode=mode, threads=2)
             assert solo.best_value == split.best_value
-            assert [o.perm for o in solo.argmax_set] == [o.perm for o in split.argmax_set]
+            assert solo.argmax_set == split.argmax_set
 
 
 def test_split_sums_the_pruned_subtrees_of_its_slices():
@@ -115,7 +118,7 @@ def test_split_sums_the_pruned_subtrees_of_its_slices():
 def test_identical_journals_list_every_order():
     for mode in ("exact", "float"):
         res = brute_force_optimal(_identical(8), mode=mode)
-        assert [o.perm for o in res.argmax_set] == list(itertools.permutations(range(8)))
+        assert res.argmax_set == tuple(itertools.permutations(range(8)))
         assert res.best_order.perm == tuple(range(8))
 
 
@@ -126,22 +129,32 @@ def test_every_solver_lists_every_order_of_identical_journals():
     every = tuple(itertools.permutations(range(8)))
     for res in (brute_force_optimal(inst), subset_dp_optimal(inst),
                 subset_dp_optimal(inst, mode="float"), index_order_no_feedback(inst)):
-        assert res.argmax_set.perms == every
+        assert res.argmax_set == every
         assert res.best_order.perm == every[0]
 
 
-def test_argmax_orders_behave_like_a_tuple_of_orders():
-    perms = [(0, 2, 1), (1, 0, 2), (1, 2, 0)]
-    orders = brute_force_optimal(_identical(3)).argmax_set[1:4]
-    plain = tuple(SearchOrder(p) for p in perms)
-    assert orders == plain and plain == orders
-    lazy = Orders(perms)
-    assert lazy == plain and plain == lazy and lazy == Orders(perms)
-    assert lazy != plain[:2] and lazy != list(plain)
-    assert hash(lazy) == hash(plain)
-    assert len(lazy) == 3 and list(lazy) == list(plain)
-    assert lazy[-1] == plain[-1] and lazy[1:] == plain[1:]
-    assert SearchOrder((1, 0, 2)) in lazy and SearchOrder((0, 1, 2)) not in lazy
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_argmax_set_is_sorted_distinct_perms(mode, pair):
+    # ties come from a class of identical journals (brute force), from
+    # equal index keys (index rule, DP) and from a sure acceptance (DP)
+    no_feedback = Instance(_identical(3, q=0).journals
+                           + (Journal("K", 3, F(1, 2), 0, F(1, 10)),), Belief(F(1, 2)))
+    sure = Instance((Journal("A", 4, F(1, 2), 0), Journal("SURE", 2, 1, 0),
+                     Journal("C", 1, F(1, 3), 0), Journal("D", F(1, 2), F(1, 4), 0)),
+                    Belief(F(1)))
+    solves = [brute_force_optimal(_classes(), mode=mode),
+              brute_force_optimal(pair.with_prior(F(17, 29)), mode=mode),
+              subset_dp_optimal(no_feedback, mode=mode),
+              subset_dp_optimal(sure, mode=mode),
+              index_order_no_feedback(no_feedback, mode=mode),
+              pairwise_swap_local_search(_classes(), mode=mode)]
+    assert [len(res.argmax_set) for res in solves] == [12, 2, 6, 2, 6, 1]
+    for res in solves:
+        perms = res.argmax_set
+        assert type(perms) is tuple
+        assert all(type(p) is tuple and all(type(i) is int for i in p) for p in perms)
+        assert all(p < q for p, q in zip(perms, perms[1:]))
+        assert perms[0] == res.best_order.perm
 
 
 def test_argmax_set_over_the_limit_fails_fast():
@@ -170,7 +183,7 @@ def test_index_rule_prefers_cost_adjusted_rate_over_raw_payoff():
         assert res.best_order.perm == (1, 0)
         brute = brute_force_optimal(inst)
         assert res.best_value == brute.best_value
-        assert res.best_order in brute.argmax_set
+        assert res.best_order.perm in brute.argmax_set
 
 
 def test_index_rule_rejects_feedback(pair):
@@ -189,7 +202,7 @@ def test_index_rule_never_accepting_journal_sorts_last():
     assert inst.journal_names()[res.best_order.perm[-1]] == "DEAD"
     brute = brute_force_optimal(inst)
     assert res.best_value == brute.best_value
-    assert res.best_order in brute.argmax_set
+    assert res.best_order.perm in brute.argmax_set
 
 
 def test_index_rule_tie_expansion():
@@ -200,9 +213,7 @@ def test_index_rule_tie_expansion():
     res = index_order_no_feedback(inst)
     brute = brute_force_optimal(inst)
     assert res.best_value == brute.best_value
-    assert sorted(o.perm for o in res.argmax_set) == sorted(
-        o.perm for o in brute.argmax_set
-    )
+    assert res.argmax_set == brute.argmax_set
     assert res.details["tie_orders"] == 2
 
 
@@ -219,7 +230,7 @@ def test_index_rule_lists_tied_orders_lexicographically():
     inst = Instance(js, Belief(F(1, 2)))
     assert inst.journal_names() == ("D", "A", "B", "C", "E", "F")
     res = index_order_no_feedback(inst)
-    assert res.argmax_set.perms == (
+    assert res.argmax_set == (
         (1, 2, 0, 3, 4, 5), (1, 2, 0, 3, 5, 4), (1, 2, 3, 0, 4, 5), (1, 2, 3, 0, 5, 4),
         (2, 1, 0, 3, 4, 5), (2, 1, 0, 3, 5, 4), (2, 1, 3, 0, 4, 5), (2, 1, 3, 0, 5, 4),
     )
@@ -264,9 +275,7 @@ def test_subset_dp_matches_brute_force():
     dp = subset_dp_optimal(inst)
     brute = brute_force_optimal(inst)
     assert dp.best_value == brute.best_value
-    assert sorted(o.perm for o in dp.argmax_set) == sorted(
-        o.perm for o in brute.argmax_set
-    )
+    assert dp.argmax_set == brute.argmax_set
 
 
 def test_subset_dp_rejects_order_dependent_updates(pair):
@@ -287,10 +296,8 @@ def test_subset_dp_ties_behind_a_sure_acceptance():
     dp = subset_dp_optimal(inst)
     brute = brute_force_optimal(inst)
     assert dp.best_value == brute.best_value == F(3)
-    assert sorted(o.perm for o in dp.argmax_set) == sorted(
-        o.perm for o in brute.argmax_set
-    )
-    assert {o.perm for o in dp.argmax_set} == {(0, 1, 2, 3), (0, 1, 3, 2)}
+    assert dp.argmax_set == brute.argmax_set
+    assert dp.argmax_set == ((0, 1, 2, 3), (0, 1, 3, 2))
 
 
 @pytest.mark.parametrize("block", range(8))
@@ -469,6 +476,17 @@ def test_payoff_sweep_best_only_path(pair):
     assert table.rows[0]["values"] == (F(7, 10),)
 
 
+def test_sweep_paths_label_names_with_the_separator_alike(pair):
+    # names may contain " > "; both paths join the names with ">" as they are
+    named = Instance(tuple(Journal(name, j.u, j.a, j.q) for name, j in
+                           zip(("A > B", "C"), pair.journals)), pair.prior)
+    grid = belief_grid(0, 1, 5)
+    every = payoff_sweep(named, grid)
+    best = payoff_sweep(named, grid, per_order=False)
+    assert [row["best"] for row in best.rows] == [row["best"] for row in every.rows]
+    assert {row["best"] for row in best.rows} == {"A > B>C", "C>A > B"}
+
+
 # ---------------------------------------------------------------------------
 # invariances
 
@@ -483,7 +501,7 @@ def test_positive_scaling_preserves_argmax(pair):
     base = brute_force_optimal(inst)
     big = brute_force_optimal(scaled)
     assert big.best_value == 7 * base.best_value
-    assert [o.perm for o in big.argmax_set] == [o.perm for o in base.argmax_set]
+    assert big.argmax_set == base.argmax_set
 
 
 def test_monotone_order_helper(pair):
