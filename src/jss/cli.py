@@ -11,7 +11,6 @@ import inspect
 import itertools
 import json
 import math
-import os
 import sys
 
 from . import verify as verify_mod
@@ -107,18 +106,6 @@ def _emit(args, text_lines, payload):
         print(out)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("JSS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"JSS_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def _int_flag(low, high, bounds: str):
     """argparse type: an integer n with low <= n < high."""
     def parse(text):
@@ -153,8 +140,6 @@ def build_parser() -> Parser:
     sp.add_argument("--algorithm", choices=("brute", "index", "dp", "local"),
                     default="brute")
     sp.add_argument("--mode", choices=("exact", "float"), default="exact")
-    sp.add_argument("--threads", type=_count, default=None,
-                    help="worker processes for brute force (default: JSS_THREADS or 1)")
 
     sp = sub.add_parser("check", help="run hypothesis checks on an instance")
     common(sp)
@@ -200,9 +185,8 @@ def build_parser() -> Parser:
 
 def cmd_solve(args) -> int:
     inst = _load(args)
-    threads = _threads(args)
     if args.algorithm == "brute":
-        res = brute_force_optimal(inst, mode=args.mode, threads=threads)
+        res = brute_force_optimal(inst, mode=args.mode)
     elif args.algorithm == "index":
         res = index_order_no_feedback(inst, mode=args.mode)
     elif args.algorithm == "dp":
@@ -261,14 +245,6 @@ def cmd_threshold(args) -> int:
                           f"got {inst.size}")
     res = prior_threshold_2box(inst.journals[0], inst.journals[1],
                                inst.outside_option)
-    lines = []
-    if res.kind == "threshold":
-        lines.append(f"threshold: {format_number(res.mu_star)}")
-        lines.append(f"threshold_float: {float(res.mu_star):.12g}")
-        lines.append(f"payoff-sorted order optimal {res.direction} the threshold")
-    else:
-        lines.append(f"threshold: none ({res.kind})")
-        lines.append(res.describe())
     payload = {
         "kind": res.kind,
         "mu_star": res.mu_star,
@@ -278,7 +254,7 @@ def cmd_threshold(args) -> int:
         "diff_at_0": res.diff_at_0,
         "diff_at_1": res.diff_at_1,
     }
-    _emit(args, lines, payload)
+    _emit(args, [res.describe()], payload)
     return 0
 
 
@@ -308,10 +284,9 @@ def cmd_simulate(args) -> int:
         order = brute_force_optimal(inst).best_order
     else:
         wanted = [w.strip() for w in args.order.split(",")]
-        try:
-            order = SearchOrder(tuple(names.index(w) for w in wanted))
-        except ValueError:
+        if sorted(wanted) != sorted(names):
             raise UsageError(f"--order names must be a permutation of {names}")
+        order = SearchOrder(tuple(names.index(w) for w in wanted))
     trace = evaluate(inst, order)
     mean, se, freqs = simulate_batch(inst, order, args.episodes, args.seed)
     exact = float(trace.total)

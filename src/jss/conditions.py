@@ -59,11 +59,6 @@ class ConditionReport:
         })
 
 
-def _min_margin(margins):
-    margins = list(margins)
-    return min(margins) if margins else None
-
-
 def check_regularity(inst: Instance, strict: bool = False,
                      exponential: bool = False) -> ConditionReport:
     """Payoffs and feedback rates non-increasing, acceptance rates
@@ -86,7 +81,7 @@ def check_regularity(inst: Instance, strict: bool = False,
     strict_expo = strictly and all(s > 0 for s in exp_slacks)
 
     slacks = u_slacks + q_slacks + a_slacks + (exp_slacks if exponential else [])
-    margin = _min_margin(slacks)
+    margin = min(slacks, default=None)
     checked = [("u", "u", u_slacks), ("q", "q", q_slacks), ("a", "a", a_slacks)]
     if exponential:
         checked.append(("u_ratio", "u", exp_slacks))

@@ -9,6 +9,7 @@ provably satisfy their family's constraints.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,17 +195,8 @@ def sample_exp_regular_gbwf(rng: random.Random, n: int) -> Instance:
         inst = Instance(journals, Belief(Fraction(k, PRIOR_DEN)), 0)
         return check_globally_bounded_weak_feedback(inst).passed
 
-    if feasible(0):
-        k_min = 0
-    else:
-        lo, hi = 0, PRIOR_DEN  # prior 1 is always feasible: beliefs stay at 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-        k_min = hi
+    # prior 1 is always feasible (beliefs stay at 1), so k_min <= PRIOR_DEN
+    k_min = bisect_left(range(PRIOR_DEN + 1), True, key=feasible)
     prior = Fraction(rng.randint(k_min, PRIOR_DEN), PRIOR_DEN)
     return Instance(journals, Belief(prior), 0)
 

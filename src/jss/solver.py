@@ -81,7 +81,9 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     a set over ARGMAX_LIMIT orders raises SolverError before it is built.
     threads > 1 splits the tree by the first member of each class across
     processes; results are merged exactly, so the answer does not depend
-    on the thread count.
+    on the thread count.  The pool loses to the serial walk, so the CLI
+    does not expose it: threads serves perfbench/probe.py only, until the
+    benchmark stops calling it and the pool is removed.
     """
     n = inst.size
     if n > BRUTE_FORCE_CAP:
@@ -112,8 +114,8 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
         best_value=best,
         argmax_set=argmax,
         method="brute_force",
-        details={"orders_considered": _falling_factorial_total(n), "threads": threads,
-                 "pruned": pruned},
+        details={"orders_considered": sum(math.perm(n, k) for k in range(1, n + 1)),
+                 "threads": threads, "pruned": pruned},
     )
 
 
@@ -153,14 +155,6 @@ def _listed(canonical, classes) -> tuple:
     _check_listing(len(canonical) * math.prod(map(math.factorial,
                                                   Counter(classes).values())))
     return tuple(_engine.expand(canonical, classes))
-
-
-def _falling_factorial_total(n: int) -> int:
-    total, term = 0, 1
-    for k in range(1, n + 1):
-        term *= n - k + 1
-        total += term
-    return total
 
 
 def index_order_no_feedback(inst: Instance, mode: str = "exact") -> SolveResult:
@@ -330,12 +324,13 @@ class ThresholdResult:
 
     def describe(self) -> str:
         if self.kind == "threshold":
-            return (f"threshold at mu = {format_number(self.mu_star)} "
-                    f"({float(self.mu_star):.6g}); payoff-sorted order optimal "
-                    f"{self.direction} it")
+            return (f"threshold: {format_number(self.mu_star)}\n"
+                    f"threshold_float: {float(self.mu_star):.12g}\n"
+                    f"payoff-sorted order optimal {self.direction} the threshold")
         note = " (both orders tie everywhere)" if self.degenerate else ""
         side = "every" if self.kind == "always" else "no interior"
-        return f"payoff-sorted order optimal at {side} prior{note}"
+        return (f"threshold: none ({self.kind})\n"
+                f"payoff-sorted order optimal at {side} prior{note}")
 
 
 def prior_threshold_2box(j1: Journal, j2: Journal, outside_option=0) -> ThresholdResult:

@@ -1,11 +1,11 @@
-"""Command line surface: output shapes, exit codes, environment hooks."""
+"""Command line surface: output shapes and exit codes."""
 import json
 import subprocess
 import sys
 
 import pytest
 
-from jss import SearchOrder, example_pair, save_instance
+from jss import Belief, Instance, Journal, SearchOrder, example_pair, save_instance
 from jss.cli import main
 from jss.verify import VerificationReport
 
@@ -24,9 +24,33 @@ def test_threshold_prints_exact_boundary(pair_file, capsys):
     assert "optimal above" in out
 
 
-def test_threshold_needs_two_journals(tmp_path, capsys):
-    from jss import Belief, Instance, Journal
+THRESHOLD_PAIRS = {
+    "always": (Journal("J1", 3, "1/10", 0), Journal("J2", 6, "9/10", 0, "3/10")),
+    "never": (Journal("J1", 2, "3/10", "4/5", "2/5"), Journal("J2", 2, "1/5", "4/5", "1/5")),
+    "identical": (Journal("J1", 4, "3/10", "1/10"), Journal("J2", 4, "3/10", "1/10")),
+}
 
+
+@pytest.mark.parametrize("kind, expected", [
+    ("threshold", "threshold: 17/29\n"
+                  "threshold_float: 0.586206896552\n"
+                  "payoff-sorted order optimal above the threshold\n"),
+    ("always", "threshold: none (always)\n"
+               "payoff-sorted order optimal at every prior\n"),
+    ("never", "threshold: none (never)\n"
+              "payoff-sorted order optimal at no interior prior\n"),
+    ("identical", "threshold: none (always)\n"
+                  "payoff-sorted order optimal at every prior (both orders tie everywhere)\n"),
+])
+def test_threshold_text_of_each_outcome(kind, expected, pair_file, tmp_path, capsys):
+    if kind != "threshold":
+        pair_file = tmp_path / f"{kind}.json"
+        save_instance(Instance(THRESHOLD_PAIRS[kind], Belief("1/2")), pair_file)
+    assert main(["threshold", "-i", str(pair_file)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_threshold_needs_two_journals(tmp_path, capsys):
     path = tmp_path / "three.json"
     save_instance(
         Instance(
@@ -63,15 +87,19 @@ def test_solve_algorithms(pair_file, capsys):
     assert "requires q = 0" in capsys.readouterr().err
 
 
-def test_jss_threads_env(pair_file, capsys, monkeypatch):
-    monkeypatch.setenv("JSS_THREADS", "2")
-    assert main(["solve", "-i", pair_file, "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["details"]["threads"] == 2
+def test_solve_has_no_thread_knobs(pair_file, capsys, monkeypatch):
+    assert main(["solve", "-i", pair_file, "--threads", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: unrecognized arguments")
+    assert "Traceback" not in captured.err and not captured.out
 
-    monkeypatch.setenv("JSS_THREADS", "many")
-    assert main(["solve", "-i", pair_file]) == 1
-    assert "JSS_THREADS" in capsys.readouterr().err
+    assert main(["solve", "-i", pair_file, "--json"]) == 0
+    serial = capsys.readouterr().out
+    assert json.loads(serial)["details"]["threads"] == 1
+    for value in ("2", "many", "-4"):
+        monkeypatch.setenv("JSS_THREADS", value)
+        assert main(["solve", "-i", pair_file, "--json"]) == 0
+        assert capsys.readouterr().out == serial
 
 
 # Names the JSON encoder must escape: a quote, a backslash, a newline
@@ -269,7 +297,9 @@ def test_simulate_output(pair_file, capsys):
     assert doc["order"] == ["J2", "J1"]
     assert doc["exact_value"] == "7/10"
 
-    assert main(["simulate", "-i", pair_file, "--order", "J9,J1"]) == 1
+    for order in ("J9,J1", "J1", "J1,J1"):
+        assert main(["simulate", "-i", pair_file, "--order", order]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --order names")
     assert main(["simulate", "-i", pair_file, "--episodes", "0"]) == 1
 
 
@@ -280,8 +310,6 @@ def test_simulate_output(pair_file, capsys):
     ["verify", "--seed", str(2 ** 64)],
     ["simulate", "--seed", "-1"],
     ["simulate", "--episodes", "0"],
-    ["solve", "--threads", "-4"],
-    ["solve", "--threads", "0"],
 ], ids=" ".join)
 def test_out_of_range_counts_and_seeds_are_usage_errors(argv, pair_file, capsys):
     flag = argv[-2]
