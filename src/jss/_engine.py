@@ -43,10 +43,6 @@ FLOAT_TIE_TOL = 1e-12
 # 1e-12 of it.
 FLOAT_BOUND_ALLOWANCE = 1e-9
 
-# The walk tests its bound only on subtrees with at least this many
-# journals still free; smaller ones are too cheap to repay the test.
-BOUND_MIN_FREE = 3
-
 # A box is the tuple (d, d - A, Q, d - Q, U A, C d) that step() reads;
 # d = 1 in float mode.
 
@@ -207,8 +203,8 @@ def _walk(kernel, first, tol, rounding):
     only rises, so a cut total would never have entered the argmax set or
     moved the best: ties survive, and the result is the unpruned walk's.
     The walk reaches the payoff-sorted order first, a strong incumbent.
-    Only nodes whose children keep BOUND_MIN_FREE or more free journals
-    test the bound; the rest run the bare loop.
+    Every child tests the bound.  At a leaf rest = 1 and bh = bl = O, so it
+    is the order's total: exactly, or within a few float ulps of S.
     """
     boxes, (h0, l0), (o, finish, uc) = kernel
     n = len(boxes)
@@ -265,17 +261,10 @@ def _walk(kernel, first, tol, rounding):
             found.append((tuple(perm), total))
 
     def walk(used, h, l, v):
+        nonlocal pruned
         if used == full:
             leaf(v + o * (h + l))
             return
-        for i in free[used]:
-            perm.append(i)
-            walk(used | 1 << i, *step(boxes[i], h, l, v))
-            perm.pop()
-
-    def bounded(used, h, l, v):
-        nonlocal pruned
-        deeper = visit[len(perm) + 1]
         for i in free[used]:
             below = used | 1 << i
             h2, l2, v2 = step(boxes[i], h, l, v)
@@ -283,17 +272,14 @@ def _walk(kernel, first, tol, rounding):
                 pruned += 1
                 continue
             perm.append(i)
-            deeper(below, h2, l2, v2)
+            walk(below, h2, l2, v2)
             perm.pop()
 
-    # visit[k] walks a node k journals deep: bounded while its children
-    # have BOUND_MIN_FREE or more journals free
-    visit = [bounded if n - k - 1 >= BOUND_MIN_FREE else walk for k in range(n + 1)]
     if first is None:
-        visit[0](0, h0, l0, 0)
+        walk(0, h0, l0, 0)
     else:
         perm.append(first)
-        visit[1](1 << first, *step(boxes[first], h0, l0, 0))
+        walk(1 << first, *step(boxes[first], h0, l0, 0))
     best, slack = top
     return (finish(best), sorted(p for p, t in found if t >= best - slack), cls,
             pruned)

@@ -219,22 +219,17 @@ def cmd_check(args) -> int:
         check_regularity(inst, strict=args.strict, exponential=args.exponential),
         check_order_independence(inst),
     ]
+    lines = [rep.summary() for rep in reports]
+    checks = [rep.to_dict() for rep in reports]
     try:
-        reports.append(check_globally_bounded_weak_feedback(inst, policy=args.policy))
+        gbwf = check_globally_bounded_weak_feedback(inst, policy=args.policy)
     except ConditionError as exc:
-        reports.append(None)
-        skipped = str(exc)
-    lines = []
-    payload = {"instance": dump_instance(inst), "checks": []}
-    for rep in reports:
-        if rep is None:
-            lines.append(f"globally_bounded_weak_feedback: skipped ({skipped})")
-            payload["checks"].append({"condition": "globally_bounded_weak_feedback",
-                                      "skipped": skipped})
-        else:
-            lines.append(rep.summary())
-            payload["checks"].append(rep.to_dict())
-    _emit(args, lines, payload)
+        lines.append(f"globally_bounded_weak_feedback: skipped ({exc})")
+        checks.append({"condition": "globally_bounded_weak_feedback", "skipped": str(exc)})
+    else:
+        lines.append(gbwf.summary())
+        checks.append(gbwf.to_dict())
+    _emit(args, lines, {"instance": dump_instance(inst), "checks": checks})
     return 0
 
 

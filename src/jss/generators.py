@@ -21,14 +21,6 @@ from .conditions import (
 )
 from .model import Belief, Instance, Journal, ModelError
 
-FAMILIES = (
-    "no_feedback",
-    "order_independent",
-    "regular_2box",
-    "exp_regular_gbwf",
-    "unconstrained",
-)
-
 PRIOR_DEN = 1024  # resolution of feasible-prior bisection
 
 
@@ -224,3 +216,4 @@ SAMPLERS = {
     "exp_regular_gbwf": sample_exp_regular_gbwf,
     "unconstrained": sample_unconstrained,
 }
+FAMILIES = tuple(SAMPLERS)

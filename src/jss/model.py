@@ -321,7 +321,7 @@ def parse_instance(doc: dict) -> Instance:
          "outside_option": "0"}
 
     Numbers may be strings ("0.2", "17/29") or JSON numbers; q, c and
-    outside_option default to 0, names default to J1..Jn.
+    outside_option default to 0, names default to J1..Jn and must be unique.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be an object")
@@ -332,17 +332,21 @@ def parse_instance(doc: dict) -> Instance:
         raise InstanceFormatError(f"instance document missing key {exc}") from None
     if not isinstance(raw_journals, (list, tuple)) or not raw_journals:
         raise InstanceFormatError("'journals' must be a non-empty array")
-    journals = []
+    journals, names = [], set()
     for k, row in enumerate(raw_journals):
         if not isinstance(row, dict):
             raise InstanceFormatError(f"journal #{k + 1} must be an object")
         unknown = set(row) - {"name", "u", "a", "q", "c"}
         if unknown:
             raise InstanceFormatError(f"journal #{k + 1} has unknown keys {sorted(unknown)}")
+        name = str(row.get("name", f"J{k + 1}"))
+        if name in names:
+            raise InstanceFormatError(f"journal #{k + 1} repeats the name {name!r}")
+        names.add(name)
         try:
             journals.append(
                 Journal(
-                    name=str(row.get("name", f"J{k + 1}")),
+                    name=name,
                     u=row["u"],
                     a=row["a"],
                     q=row.get("q", 0),

@@ -271,6 +271,33 @@ def test_check_summaries(pair_file, capsys):
     ]
 
 
+def test_check_skips_the_floor_walk_past_eight_journals(tmp_path, capsys):
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps({"journals": [{"u": 9 - k, "a": "1/2", "q": "1/3"}
+                                             for k in range(9)], "prior_h": "1/2"}))
+    skipped = "9 journals means sum(n!/(n-k)!) prefixes; cap is 8"
+    assert main(["check", "-i", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "regularity: holds (margin 0)\n"
+        "order_independence: holds (margin 0)\n"
+        f"globally_bounded_weak_feedback: skipped ({skipped})\n")
+
+    assert main(["check", "-i", str(path), "--json"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith(
+        '    {\n'
+        '      "condition": "globally_bounded_weak_feedback",\n'
+        f'      "skipped": "{skipped}"\n'
+        '    }\n'
+        '  ]\n'
+        '}\n')
+    assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
+    out = tmp_path / "check.json"
+    assert main(["check", "-i", str(path), "--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
 def test_sweep_csv(pair_file, capsys, tmp_path):
     assert main(["sweep", "-i", pair_file, "--grid", "0.5:0.7:5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -281,6 +308,14 @@ def test_sweep_csv(pair_file, capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "-i", pair_file, "--grid", "0:1:3", "--out", str(out)]) == 0
     assert out.read_text().startswith("mu,")
+
+    assert main(["sweep", "-i", pair_file, "--grid", "0:1:4", "--mode", "float"]) == 0
+    assert capsys.readouterr().out == (
+        "mu,value_J1>J2,value_J2>J1,best_order\r\n"
+        "0.0,0.06,0.4,J2>J1\r\n"
+        "0.3333333333333333,0.4533333333333333,0.6000000000000001,J2>J1\r\n"
+        "0.6666666666666666,0.8466666666666667,0.8,J1>J2\r\n"
+        "1.0,1.24,1.0,J1>J2\r\n")
 
     assert main(["sweep", "-i", pair_file, "--grid", "nonsense"]) == 1
 
@@ -296,6 +331,19 @@ def test_simulate_output(pair_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["order"] == ["J2", "J1"]
     assert doc["exact_value"] == "7/10"
+
+    assert main(["simulate", "-i", pair_file, "--order", "best", "--episodes", "2000",
+                 "--seed", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "order: J2 > J1\n"
+        "episodes: 2000   seed: 4\n"
+        "exact value: 7/10 (0.7)\n"
+        "mc mean: 0.672   stderr: 0.0337\n"
+        "z-score: -0.83\n"
+        "survival (analytic vs empirical):\n"
+        "  period 1: 1.000000  1.000000\n"
+        "  period 2: 0.850000  0.840500\n"
+        "  period 3: 0.740000  0.738000\n")
 
     for order in ("J9,J1", "J1", "J1,J1"):
         assert main(["simulate", "-i", pair_file, "--order", order]) == 1
@@ -361,6 +409,21 @@ def test_malformed_instance(tmp_path, capsys):
     bad.write_text('{"journals": [{"u": 1, "a": "3/2"}], "prior_h": "1/2"}')
     assert main(["solve", "-i", str(bad)]) == 2
     assert "acceptance rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("journals, message", [
+    ([{"name": "A", "u": 1, "a": "1/2"}, {"name": "A", "u": 2, "a": "1/2"}],
+     "error: journal #2 repeats the name 'A'\n"),
+    ([{"u": 1, "a": "1/2"}, {"name": "J1", "u": 2, "a": "1/2"}],   # J1 by default
+     "error: journal #2 repeats the name 'J1'\n"),
+], ids=["named", "defaulted"])
+@pytest.mark.parametrize("argv", [["solve"], ["simulate", "--order", "J1,J1"]], ids=" ".join)
+def test_duplicate_journal_names_exit_2(journals, message, argv, tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"journals": journals, "prior_h": "1/2"}))
+    assert main([*argv, "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and not captured.out
 
 
 def test_usage_error_on_unknown_command():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jss import Belief, Instance, Journal, SearchOrder, evaluate
+from jss import Belief, Instance, Journal, SearchOrder, evaluate, example_pair
 from jss import _engine
 
 FLOAT_RTOL = 1e-12
@@ -257,20 +257,13 @@ def _journals(rows, prior=F(1, 2), outside=0):
 @example(inst=_journals([(3 - k, F(1, 2), F(1, 3), F(1, 4)) for k in range(5)], prior=1))
 @example(inst=_journals([(0, 0, 0, F(k, 10)) for k in (1, 2, 3, 7, 9)]))  # float ulp tie
 def test_pruned_walk_matches_the_full_walk(inst):
-    """Tested with the bound at every level and at the default one."""
-    default = _engine.BOUND_MIN_FREE
-    try:
-        for min_free in (1, default):
-            _engine.BOUND_MIN_FREE = min_free
-            for prepare, walker, tol in MODES:
-                kernel = prepare(inst)
-                cls = _engine.classes(kernel[0])
-                for first in (None, *sorted(set(cls))):
-                    best, perms = _full_walk(kernel, tol, first)
-                    canonical = [p for p in perms if _canonical(p, cls)]
-                    assert walker(inst, first=first)[:3] == (best, canonical, cls)
-    finally:
-        _engine.BOUND_MIN_FREE = default
+    for prepare, walker, tol in MODES:
+        kernel = prepare(inst)
+        cls = _engine.classes(kernel[0])
+        for first in (None, *sorted(set(cls))):
+            best, perms = _full_walk(kernel, tol, first)
+            canonical = [p for p in perms if _canonical(p, cls)]
+            assert walker(inst, first=first)[:3] == (best, canonical, cls)
 
 
 def test_ulp_example_is_a_float_near_tie():
@@ -293,3 +286,12 @@ def test_bound_prunes_a_random_eight_journal_instance():
         res = brute_force_optimal(inst, mode=mode)
         assert res.details["pruned"] > 0
         assert res.details["orders_considered"] == 109600
+
+
+def test_bound_cuts_an_order_at_its_last_step():
+    """Two journals: the bound is tested down to the leaves, so the worse
+    of the two orders is cut at its last journal."""
+    from jss.solver import brute_force_optimal
+
+    for mode in ("exact", "float"):
+        assert brute_force_optimal(example_pair("9/10"), mode=mode).details["pruned"] == 1
