@@ -1,12 +1,14 @@
 """Command line interface.
 
 Subcommands: solve, check, threshold, sweep, simulate, verify.
-Exit codes: 0 success, 1 usage error, 2 invalid instance or a request the
-instance cannot satisfy, 3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 invalid instance, unreadable
+instance file or unwritable output file, or a request the instance cannot
+satisfy, 3 verification failure.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import itertools
 import json
@@ -123,7 +125,11 @@ _count = _int_flag(1, math.inf, ">= 1")
 _seed = _int_flag(0, 2 ** 64, "in [0, 2**64)")
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The jss argument parser, built once per process and shared by
+    every caller, so do not modify it.  parse_args keeps no state between
+    calls: each returns a fresh namespace."""
     p = Parser(prog="jss", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -354,7 +360,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ModelError, FileNotFoundError) as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,9 @@ error and the survival frequencies off the same draws; estimate_value
 and empirical_survival each run their own batch and apply the same
 reduction, so for one (instance, order, n_episodes, seed) all three
 agree bit for bit.
+
+numpy is imported inside the functions that use it, so importing jss
+does not load it.
 """
 from __future__ import annotations
 
@@ -20,13 +23,12 @@ from fractions import Fraction
 from math import sqrt
 from typing import Optional
 
-import numpy as np
-
 from .model import Instance, SearchOrder, check_order
 
 
 def _run_batch(inst: Instance, order: SearchOrder, n_episodes: int, seed: int):
     """accepted_at array (0 = outside option, else 1-based period)."""
+    import numpy as np
     check_order(inst, order)
     if n_episodes < 1:
         raise ValueError("need at least one episode")
@@ -49,6 +51,7 @@ def _run_batch(inst: Instance, order: SearchOrder, n_episodes: int, seed: int):
 
 def _payoff_table(inst: Instance, order: SearchOrder) -> np.ndarray:
     """payoff_table[k] = realized payoff when accepted at period k (0 = never)."""
+    import numpy as np
     paid = Fraction(0)
     payoffs = [None] * (len(order.perm) + 1)
     for t, idx in enumerate(order.perm):
@@ -69,6 +72,7 @@ def _mean_stderr(inst: Instance, order: SearchOrder,
 
 
 def _survival(periods: int, accepted_at: np.ndarray) -> np.ndarray:
+    import numpy as np
     freqs = np.empty(periods + 1, dtype=np.float64)
     never = accepted_at == 0
     for t in range(periods + 1):

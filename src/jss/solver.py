@@ -9,7 +9,6 @@ import csv
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -98,6 +97,7 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     # slice of the tree for the parallel driver
     firsts = sorted(set(_engine.classes(_prepare(inst, mode)[0]))) if threads > 1 else ()
     if len(firsts) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(threads, len(firsts))) as pool:
             results = list(pool.map(_search, [inst] * len(firsts), [mode] * len(firsts),
                                     firsts))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from jss import Belief, Instance, Journal, SearchOrder, example_pair, save_instance
-from jss.cli import main
+from jss.cli import build_parser, main
 from jss.verify import VerificationReport
 
 
@@ -404,6 +404,15 @@ def test_missing_instance_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["-i", "--out"])
+def test_unreadable_or_unwritable_path_exits_2(flag, pair_file, tmp_path, capsys):
+    argv = ["solve", "-i", pair_file, flag, str(tmp_path)]    # a directory
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "directory" in captured.err
+    assert not captured.out
+
+
 def test_malformed_instance(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"journals": [{"u": 1, "a": "3/2"}], "prior_h": "1/2"}')
@@ -438,3 +447,53 @@ def test_console_script_entry_point(pair_file):
     )
     assert proc.returncode == 0
     assert "threshold: 17/29" in proc.stdout
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(pair_file, capsys):
+    assert build_parser() is build_parser()
+    priors = []
+    for extra in (["--prior", "1/3"], []):
+        assert main(["solve", "--json", "-i", pair_file, *extra]) == 0
+        priors.append(json.loads(capsys.readouterr().out)["instance"]["prior_h"])
+    assert priors == ["1/3", "1/2"]
+    parser = build_parser()
+    assert parser.parse_args(["verify", "--suite", "a", "--suite", "b"]).suite == ["a", "b"]
+    assert parser.parse_args(["verify"]).suite is None
+
+
+COLD_CALLS = """
+import contextlib, io, json, sys
+import jss
+from jss.cli import main
+
+def loaded():
+    return [m for m in ("numpy", "concurrent.futures.process") if m in sys.modules]
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+report = {"import": loaded()}
+report["solve_out"] = run("solve", "--json", "-i", sys.argv[1])
+report["solve"] = loaded()
+report["simulate_out"] = run("simulate", "--json", "-i", sys.argv[1], "--order", "best",
+                             "--episodes", "2000", "--seed", "4")
+report["simulate"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_import_and_solve_leave_numpy_and_the_pool_unloaded(pair_file, capsys):
+    proc = subprocess.run([sys.executable, "-c", COLD_CALLS, pair_file],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == report["solve"] == []
+    assert report["simulate"] == ["numpy"]
+    assert main(["solve", "--json", "-i", pair_file]) == 0
+    assert report["solve_out"] == capsys.readouterr().out
+    doc = json.loads(report["simulate_out"])
+    assert (doc["mc_mean"], doc["mc_stderr"]) == (0.672, 0.0337012742777476)
+    assert doc["survival_empirical"] == [1.0, 0.8405, 0.738]
