@@ -48,6 +48,14 @@ from .solver import (
 )
 
 
+SOLVERS = {
+    "brute": brute_force_optimal,
+    "index": index_order_no_feedback,
+    "dp": subset_dp_optimal,
+    "local": pairwise_swap_local_search,
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -143,8 +151,7 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("solve", help="find the optimal submission order")
     common(sp)
-    sp.add_argument("--algorithm", choices=("brute", "index", "dp", "local"),
-                    default="brute")
+    sp.add_argument("--algorithm", choices=tuple(SOLVERS), default="brute")
     sp.add_argument("--mode", choices=("exact", "float"), default="exact")
 
     sp = sub.add_parser("check", help="run hypothesis checks on an instance")
@@ -191,14 +198,7 @@ def build_parser() -> Parser:
 
 def cmd_solve(args) -> int:
     inst = _load(args)
-    if args.algorithm == "brute":
-        res = brute_force_optimal(inst, mode=args.mode)
-    elif args.algorithm == "index":
-        res = index_order_no_feedback(inst, mode=args.mode)
-    elif args.algorithm == "dp":
-        res = subset_dp_optimal(inst, mode=args.mode)
-    else:
-        res = pairwise_swap_local_search(inst, mode=args.mode)
+    res = SOLVERS[args.algorithm](inst, mode=args.mode)
     names = inst.journal_names()
     if not args.json:
         _emit(args, [f"instance: {len(names)} journals, "
@@ -266,8 +266,7 @@ def cmd_sweep(args) -> int:
         grid = belief_grid(start, stop, int(count))
     except (ValueError, ModelError) as exc:
         raise UsageError(f"bad --grid {args.grid!r}: {exc}")
-    table = payoff_sweep(inst, grid, mode=args.mode,
-                         per_order=(False if args.best_only else None))
+    table = payoff_sweep(inst, grid, mode=args.mode, best_only=args.best_only)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             table.write_csv(fh)

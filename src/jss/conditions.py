@@ -7,6 +7,7 @@ prefix that breaks it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -125,38 +126,29 @@ def check_order_independence(inst: Instance) -> ConditionReport:
     are costless.
     """
     js = inst.journals
+    keys = [_index_key(j) for j in js]
     deviations = []
     witnesses = []
-    worst = Fraction(0)
-    for i in range(len(js)):
-        for j in range(i + 1, len(js)):
-            d = js[i].a * js[j].q - js[j].a * js[i].q
-            deviations.append({"pair": (js[i].name, js[j].name), "deviation": d})
-            if d != 0:
-                witnesses.append({"pair": (js[i].name, js[j].name),
-                                  "a_i*q_j": js[i].a * js[j].q,
-                                  "a_j*q_i": js[j].a * js[i].q})
-            worst = max(worst, abs(d))
-    passed = worst == 0
-
-    keys = [_index_key(j) for j in js]
     small_costs = True
-    for i in range(len(js)):
-        for j in range(i + 1, len(js)):
-            if js[i].u == js[j].u:
-                continue
-            ki, kj = keys[i], keys[j]
-            if ki is None or kj is None:
-                # a = 0 with a positive cost has no finite index
-                if (ki is None and js[i].c > 0) or (kj is None and js[j].c > 0):
-                    small_costs = False
-                continue
-            if (js[i].u > js[j].u) != (ki > kj):
+    for (ji, ki), (jj, kj) in itertools.combinations(zip(js, keys), 2):
+        d = ji.a * jj.q - jj.a * ji.q
+        deviations.append({"pair": (ji.name, jj.name), "deviation": d})
+        if d != 0:
+            witnesses.append({"pair": (ji.name, jj.name),
+                              "a_i*q_j": ji.a * jj.q, "a_j*q_i": jj.a * ji.q})
+        if ji.u == jj.u:
+            continue
+        if ki is None or kj is None:
+            # a = 0 with a positive cost has no finite index
+            if (ki is None and ji.c > 0) or (kj is None and jj.c > 0):
                 small_costs = False
+        elif (ji.u > jj.u) != (ki > kj):
+            small_costs = False
+    worst = max((abs(dev["deviation"]) for dev in deviations), default=Fraction(0))
 
     return ConditionReport(
         condition="order_independence",
-        passed=passed,
+        passed=worst == 0,
         margin=worst,
         witnesses=tuple(witnesses),
         details={

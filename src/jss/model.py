@@ -218,11 +218,13 @@ def update_belief(journal: Journal, belief: Belief) -> Belief:
     taken to be 1 (the continuation is unreachable, so any convention
     works, and this one keeps f into [0,1]).
     """
-    mu = belief.mu_h
-    denom = 1 - journal.a * mu
-    if denom == 0:
-        return Belief(ONE)
-    return Belief(((1 - journal.a - journal.q) * mu + journal.q) / denom)
+    return Belief(_posterior(journal.a, journal.q, belief.mu_h, ONE))
+
+
+def _posterior(a, q, mu, one):
+    """update_belief's f(mu), in the arithmetic whose 1 is `one`."""
+    denom = 1 - a * mu
+    return one if denom == 0 else ((1 - a - q) * mu + q) / denom
 
 
 @dataclass(frozen=True)
@@ -279,8 +281,7 @@ def evaluate(inst: Instance, order: SearchOrder, mode: str = "exact") -> Evaluat
         period_values.append(r * (u * hit - c))
         accept_mass.append(r * hit)
         r = r * (1 - hit)
-        denom = 1 - hit
-        mu = one if denom == 0 else ((1 - a - q) * mu + q) / denom
+        mu = _posterior(a, q, mu, one)
         beliefs.append(mu)
         reach.append(r)
 
@@ -365,10 +366,7 @@ def parse_instance(doc: dict) -> Instance:
 
 
 def load_instance(source) -> Instance:
-    """Load an instance from a JSON file path, JSON text, or a dict."""
-    if isinstance(source, dict):
-        return parse_instance(source)
-    text = None
+    """Load an instance from a JSON file path or JSON text."""
     if isinstance(source, Path):
         text = source.read_text()
     elif isinstance(source, str):

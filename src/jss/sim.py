@@ -72,12 +72,11 @@ def _mean_stderr(inst: Instance, order: SearchOrder,
 
 
 def _survival(periods: int, accepted_at: np.ndarray) -> np.ndarray:
+    """Entry t: the share of episodes not accepted in periods 1..t."""
     import numpy as np
-    freqs = np.empty(periods + 1, dtype=np.float64)
-    never = accepted_at == 0
-    for t in range(periods + 1):
-        freqs[t] = np.mean(never | (accepted_at > t))
-    return freqs
+    counts = np.bincount(accepted_at, minlength=periods + 1)
+    counts[0] = 0
+    return (len(accepted_at) - np.cumsum(counts)) / len(accepted_at)
 
 
 def simulate_batch(inst: Instance, order: SearchOrder, n_episodes: int,

@@ -29,6 +29,7 @@ from .model import (
 )
 
 BRUTE_FORCE_CAP = 10
+SUBSET_DP_CAP = 20                  # 2^20 rejection sets, each in five lists
 ARGMAX_LIMIT = math.factorial(9)    # most orders a solver lists as its argmax set
 
 
@@ -40,14 +41,17 @@ class SolverError(ModelError):
 class SolveResult:
     """A solver's answer.  argmax_set holds the distinct optimal orders
     as perms (tuples of positions into inst.journals) in lexicographic
-    order, so argmax_set[0] == best_order.perm; local search, which
-    certifies no optimum, lists only the order it stopped at."""
+    order, and best_order is derived from argmax_set[0]; local search,
+    which certifies no optimum, lists only the order it stopped at."""
 
-    best_order: SearchOrder
     best_value: object
     argmax_set: tuple
     method: str
     details: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def best_order(self) -> SearchOrder:
+        return SearchOrder(self.argmax_set[0])
 
     def describe(self, inst: Instance) -> str:
         names = inst.journal_names()
@@ -110,7 +114,6 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
 
     argmax = _listed(canonical, cls)
     return SolveResult(
-        best_order=SearchOrder(argmax[0]),
         best_value=best,
         argmax_set=argmax,
         method="brute_force",
@@ -180,12 +183,11 @@ def index_order_no_feedback(inst: Instance, mode: str = "exact") -> SolveResult:
         k = keys[i]
         return (1, Fraction(0), i) if k is None else (0, -k, i)
 
-    order = SearchOrder(tuple(sorted(range(len(js)), key=sort_key)))
+    order = tuple(sorted(range(len(js)), key=sort_key))
     boxes, prior, outside = _prepare(inst, mode)
-    argmax = _listed([order.perm], keys)
+    argmax = _listed([order], keys)
     return SolveResult(
-        best_order=order,
-        best_value=_engine.order_value(boxes, order.perm, prior, outside),
+        best_value=_engine.order_value(boxes, order, prior, outside),
         argmax_set=argmax,
         method="index_no_feedback",
         details={
@@ -200,8 +202,12 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
 
     Sound only when belief updates commute (a_i q_j = a_j q_i for all
     pairs): then the mass reaching any set of rejections is order-free and
-    the set is a sufficient state.  Raises SolverError otherwise.
+    the set is a sufficient state.  Raises SolverError otherwise, and
+    beyond SUBSET_DP_CAP journals before any state is built.
     """
+    n = inst.size
+    if n > SUBSET_DP_CAP:
+        raise SolverError(f"subset DP needs I <= {SUBSET_DP_CAP} journals (2^I states), got {n}")
     report = check_order_independence(inst)
     if not report.passed:
         w = report.witnesses[0]
@@ -210,7 +216,6 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
             f"{w['pair']} has a_i*q_j = {w['a_i*q_j']} != a_j*q_i = {w['a_j*q_i']}"
         )
     tol = _tie_tol(mode)
-    n = inst.size
     full = (1 << n) - 1
     boxes, prior, (o, finish, _) = _prepare(inst, mode)
 
@@ -260,7 +265,6 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
 
     expand(0, [])
     return SolveResult(
-        best_order=SearchOrder(argmax[0]),
         best_value=finish(value[0]),
         argmax_set=tuple(argmax),
         method="subset_dp",
@@ -292,11 +296,9 @@ def pairwise_swap_local_search(inst: Instance, mode: str = "exact") -> SolveResu
                 order, current = cand, v
                 swaps += 1
                 improved = True
-    final = SearchOrder(tuple(order))
     return SolveResult(
-        best_order=final,
         best_value=current,
-        argmax_set=(final.perm,),
+        argmax_set=(tuple(order),),
         method="local_search",
         details={"sweeps": sweeps, "swaps": swaps, "certified_global": False},
     )
@@ -386,16 +388,16 @@ def _csv_num(x, mode: str) -> str:
 
 
 def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
-                 per_order: Optional[bool] = None) -> SweepResult:
+                 best_only: bool = False) -> SweepResult:
     """Expected payoff of each order across a grid of priors.
 
-    per_order defaults to True up to 4 journals (24 columns); beyond
-    that only the best order and value are reported per grid point.
+    Up to 4 journals (24 columns) every order gets a column unless
+    best_only is set; otherwise only the best order and value are
+    reported per grid point.
     """
     tol = _tie_tol(mode)
     n = inst.size
-    if per_order is None:
-        per_order = n <= 4
+    per_order = not best_only and n <= 4
     names = inst.journal_names()
     perms = list(itertools.permutations(range(n))) if per_order else ()
     labels = tuple(">".join(names[i] for i in p) for p in perms) if per_order else ("best",)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -159,8 +159,8 @@ def verify_no_feedback_index(trials: int = 1000, seed: int = 101) -> Verificatio
         n = rng.randint(2, 7)
         inst = sample_no_feedback(rng, n)
         if k % 4 == 0:
-            inst = Instance(tuple(Journal(j.name, j.u, j.a, j.q, 0)
-                                  for j in inst.journals), inst.prior, 0)
+            inst = Instance(tuple(replace(j, c=0) for j in inst.journals),
+                            inst.prior, 0)
         res = brute_force_optimal(inst)
         ranked = index_order_no_feedback(inst)
         if evaluate(inst, ranked.best_order).total != res.best_value:
@@ -269,12 +269,7 @@ def verify_two_box_base_case(trials: int = 1000, seed: int = 103) -> Verificatio
         if k % 5 == 4:
             j1, j2 = inst.journals
             tie = rng.choice(("a", "q", "u"))
-            if tie == "a":
-                j2 = Journal(j2.name, j2.u, j1.a, j2.q)
-            elif tie == "q":
-                j2 = Journal(j2.name, j2.u, j2.a, j1.q)
-            else:
-                j2 = Journal(j2.name, j1.u, j2.a, j2.q)
+            j2 = replace(j2, **{tie: getattr(j1, tie)})
             floor = feedback_threshold(j2)
             prior = floor + (1 - floor) * _frac(rng, 0, 1, 64)
             inst = Instance((j1, j2), Belief(prior), 0)
@@ -317,9 +312,9 @@ def verify_weak_feedback_monotonicity(trials: int = 500,
             js = list(inst.journals)
             i = rng.randrange(n - 1)
             if rng.random() < 0.5:
-                js[i] = Journal(js[i].name, js[i].u, js[i + 1].a, js[i].q)
+                js[i] = replace(js[i], a=js[i + 1].a)
             else:
-                js[i + 1] = Journal(js[i + 1].name, js[i + 1].u, js[i + 1].a, js[i].q)
+                js[i + 1] = replace(js[i + 1], q=js[i].q)
             weak = Instance(tuple(js), inst.prior, 0)
             if not (check_regularity(weak).passed
                     and check_globally_bounded_weak_feedback(weak).passed):
@@ -471,13 +466,13 @@ def verify_single_crossing(trials: int = 500, seed: int = 107) -> VerificationRe
             js = list(inst.journals)
             qs = [j.q for j in js]
             rng.shuffle(qs)
-            inst = Instance(tuple(Journal(j.name, j.u, j.a, q)
-                                  for j, q in zip(js, qs)), inst.prior, 0)
+            inst = Instance(tuple(replace(j, q=q) for j, q in zip(js, qs)),
+                            inst.prior, 0)
             regular = check_regularity(inst).passed
         elif k % 7 == 6:
             # identical twin of box 0 at sorted position 1: all differences 0
             js = list(inst.journals)
-            js[1] = Journal(js[1].name, js[0].u, js[0].a, js[0].q)
+            js[1] = replace(js[0], name=js[1].name)
             inst = Instance(tuple(js), inst.prior, 0)
             twin = True
         kk = 1 if twin else rng.randint(1, n - 1)

@@ -190,6 +190,21 @@ def test_argmax_limit_exits_2_fast_for_dp_and_index(algorithm, tmp_path, capsys)
     assert "over the limit of 362880 (9!)" in capsys.readouterr().err
 
 
+def test_dp_over_its_cap_exits_2_fast(tmp_path, capsys):
+    import time
+
+    # feedback-free journals commute, so only the size cap refuses them
+    path = tmp_path / "twenty_one.json"
+    path.write_text(json.dumps({"journals": [{"u": str(k + 1), "a": "1/2", "q": "0"}
+                                             for k in range(21)], "prior_h": "1/2"}))
+    t0 = time.perf_counter()
+    assert main(["solve", "-i", str(path), "--algorithm", "dp"]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: subset DP needs I <= 20 journals (2^I states), got 21\n"
+    assert not captured.out
+
+
 def test_index_rule_answers_in_the_mode_asked(tmp_path, capsys):
     from fractions import Fraction
 
@@ -366,6 +381,21 @@ def test_out_of_range_counts_and_seeds_are_usage_errors(argv, pair_file, capsys)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"usage error: argument {flag}: ")
+    assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("argv, code, start", [
+    (["solve", "-i", '{"journals": [{"u": 1, "a": 0.5}], "prior_h": '], 2,
+     "error: invalid JSON:"),
+    (["solve", "-i", '{"journals": [3], "prior_h": 0.5}'], 2,
+     "error: journal #1 must be an object\n"),
+    (["verify", "--suite", "ratio_bound", "--trials", "abc"], 1,
+     "usage error: argument --trials: needs an integer >= 1, got 'abc'\n"),
+], ids=["truncated JSON", "journal not an object", "non-integer count"])
+def test_malformed_input_exits_with_its_code_and_no_traceback(argv, code, start, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(start)
     assert "Traceback" not in captured.err and not captured.out
 
 

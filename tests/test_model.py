@@ -294,6 +294,12 @@ def test_load_instance_accepts_inline_json(pair):
     assert load_instance(text) == pair
 
 
+def test_load_instance_refuses_a_parsed_document(pair):
+    # parse_instance is the entry point for a dict
+    with pytest.raises(InstanceFormatError, match="cannot load instance from dict"):
+        load_instance(dump_instance(pair))
+
+
 def test_parse_instance_defaults():
     inst = parse_instance(
         {"journals": [{"u": 2, "a": "1/2"}, {"u": 1, "a": "1/4"}], "prior_h": "1/3"}

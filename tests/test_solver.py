@@ -26,6 +26,7 @@ from jss import (
     prior_threshold_2box,
     subset_dp_optimal,
 )
+from jss import _engine
 from jss._engine import FLOAT_TIE_TOL
 from jss.catalog import BY_NAME
 from jss.generators import sample_order_independent
@@ -300,6 +301,14 @@ def test_subset_dp_ties_behind_a_sure_acceptance():
     assert dp.argmax_set == ((0, 1, 2, 3), (0, 1, 3, 2))
 
 
+def test_subset_dp_refuses_more_journals_than_its_cap():
+    # feedback-free journals commute, so only the size cap refuses them
+    inst = Instance(tuple(Journal(f"J{k}", k + 1, F(1, 2), 0) for k in range(21)),
+                    Belief(F(1, 2)))
+    with pytest.raises(SolverError, match=r"I <= 20 journals \(2\^I states\), got 21"):
+        subset_dp_optimal(inst)
+
+
 @pytest.mark.parametrize("block", range(8))
 def test_subset_dp_float_mode(block):
     # float ties follow the brute-force tolerance rule, so the float argmax
@@ -470,7 +479,7 @@ def test_payoff_sweep_csv_shape(pair):
 
 
 def test_payoff_sweep_best_only_path(pair):
-    table = payoff_sweep(pair, (F(1, 2), F(7, 10)), per_order=False)
+    table = payoff_sweep(pair, (F(1, 2), F(7, 10)), best_only=True)
     assert table.labels == ("best",)
     assert [row["best"] for row in table.rows] == ["J2>J1", "J1>J2"]
     assert table.rows[0]["values"] == (F(7, 10),)
@@ -482,7 +491,7 @@ def test_sweep_paths_label_names_with_the_separator_alike(pair):
                            zip(("A > B", "C"), pair.journals)), pair.prior)
     grid = belief_grid(0, 1, 5)
     every = payoff_sweep(named, grid)
-    best = payoff_sweep(named, grid, per_order=False)
+    best = payoff_sweep(named, grid, best_only=True)
     assert [row["best"] for row in best.rows] == [row["best"] for row in every.rows]
     assert {row["best"] for row in best.rows} == {"A > B>C", "C>A > B"}
 
@@ -506,3 +515,61 @@ def test_positive_scaling_preserves_argmax(pair):
 
 def test_monotone_order_helper(pair):
     assert monotone_order(pair).perm == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive small scope
+
+GRID_JOURNALS = [(u, a, q, c) for u in (0, 1, 2) for a in (0, F(1, 2), 1)
+                 for q in (0, F(1, 4), F(1, 2)) for c in (0, F(1, 2))]
+
+
+def test_every_two_journal_grid_instance_agrees_across_routes():
+    """Every multiset of two journals with u in {0, 1, 2}, a in {0, 1/2, 1},
+    q in {0, 1/4, 1/2} and c in {0, 1/2}, at priors 0, 1/2 and 1: 4455
+    instances, each route checked against model.evaluate over both orders.
+
+    The index rule is checked only for an optimal value and an order in
+    brute force's argmax set.  Its set lists only the orders that permute
+    journals with equal keys u - c/a, so it misses other tied orders: 203
+    of the 513 feedback-free instances here (ROADMAP item 5)."""
+    perms = ((0, 1), (1, 0))
+    counts = {"instances": 0, "commuting": 0, "no_feedback": 0}
+    for j1, j2 in itertools.combinations_with_replacement(GRID_JOURNALS, 2):
+        pair = Instance((Journal("A", *j1), Journal("B", *j2)), Belief(0))
+        # each order's values at priors 1 and 0; the prior does not move them
+        lines = [tuple(evaluate(pair.with_prior(end), SearchOrder(p)).total
+                       for end in (1, 0)) for p in perms]
+        th = prior_threshold_2box(*pair.journals)
+        assert (th.diff_at_1, th.diff_at_0) == tuple(
+            v - w for v, w in zip(*lines)), dump_instance(pair)
+        for mu in (0, F(1, 2), 1):
+            inst = pair.with_prior(mu)
+            case = dump_instance(inst)
+            values = [evaluate(inst, SearchOrder(p)).total for p in perms]
+            best = max(values)
+            exact = brute_force_optimal(inst)
+            assert exact.best_value == best, case
+            assert exact.argmax_set == tuple(p for p, v in zip(perms, values)
+                                             if v == best), case
+            assert brute_force_optimal(inst, mode="float").argmax_set == exact.argmax_set, case
+
+            kernel = _engine.prepare(inst)
+            boxes, prior, outside = kernel
+            for p, v, line in zip(perms, values, lines):
+                assert _engine.order_value(boxes, p, prior, outside) == v, case
+                assert _engine.order_line(kernel, p) == line, case
+            assert pairwise_swap_local_search(inst).best_value <= best, case
+
+            a, b = inst.journals
+            if a.a * b.q == b.a * a.q:
+                dp = subset_dp_optimal(inst)
+                assert (dp.best_value, dp.argmax_set) == (best, exact.argmax_set), case
+                counts["commuting"] += 1
+            if a.q == b.q == 0:
+                ranked = index_order_no_feedback(inst)
+                assert ranked.best_value == best, case
+                assert ranked.best_order.perm in exact.argmax_set, case
+                counts["no_feedback"] += 1
+            counts["instances"] += 1
+    assert counts == {"instances": 4455, "commuting": 1755, "no_feedback": 513}

@@ -104,7 +104,7 @@ def test_failure_seeds_replay_their_trial(monkeypatch):
         res = real(inst, *args, **kwargs)
         flipped = SearchOrder(tuple(reversed(res.best_order.perm)))
         return dataclasses.replace(res, best_value=res.best_value + 1,
-                                   best_order=flipped, argmax_set=())
+                                   argmax_set=(flipped.perm,))
 
     monkeypatch.setattr(verify_mod, "brute_force_optimal", wrong)
     report = run_suite("no_feedback_index", trials=3, seed=500)
