@@ -35,7 +35,7 @@ from .model import (
     parse_number,
     plain,
 )
-from .sim import simulate_batch
+from .sim import EPISODE_LIMIT, simulate_batch
 from .solver import (
     SolverError,
     belief_grid,
@@ -116,8 +116,9 @@ def _emit(args, text_lines, payload):
         print(out)
 
 
-def _int_flag(low, high, bounds: str):
-    """argparse type: an integer n with low <= n < high."""
+def _int_flag(low, high, bounds: str, limit=math.inf):
+    """argparse type: an integer n with low <= n < high and n <= limit,
+    a cap whose message names it."""
     def parse(text):
         try:
             value = int(text)
@@ -125,11 +126,16 @@ def _int_flag(low, high, bounds: str):
             value = None
         if value is None or not low <= value < high:
             raise argparse.ArgumentTypeError(f"needs an integer {bounds}, got {text!r}")
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"needs an integer <= {limit}, got {text!r}")
         return value
     return parse
 
 
-_count = _int_flag(1, math.inf, ">= 1")
+# mc_consistency builds its list of runs, one per trial, up front.
+TRIAL_LIMIT = 10 ** 5
+_episodes = _int_flag(1, math.inf, ">= 1", EPISODE_LIMIT)
+_trials = _int_flag(1, math.inf, ">= 1", TRIAL_LIMIT)
 _seed = _int_flag(0, 2 ** 64, "in [0, 2**64)")
 
 
@@ -179,17 +185,18 @@ def build_parser() -> Parser:
     common(sp)
     sp.add_argument("--order", default="monotone",
                     help="comma-separated journal names, 'monotone', or 'best'")
-    sp.add_argument("--episodes", type=_count, default=100000)
+    sp.add_argument("--episodes", type=_episodes, default=100000)
     sp.add_argument("--seed", type=_seed, default=0)
 
     sp = sub.add_parser("verify", help="run randomized verification suites")
     sp.add_argument("--suite", action="append", default=None,
+                    choices=(*verify_mod.SUITES, "all"), metavar="SUITE",
                     help=f"suite name or 'all' (repeatable); choices: "
                          f"{', '.join(sorted(verify_mod.SUITES))}")
-    sp.add_argument("--trials", type=_count, default=None,
+    sp.add_argument("--trials", type=_trials, default=None,
                     help="override trial count where a suite takes one")
     sp.add_argument("--seed", type=_seed, default=None)
-    sp.add_argument("--episodes", type=_count, default=None,
+    sp.add_argument("--episodes", type=_episodes, default=None,
                     help="episodes per run for the mc_consistency suite")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out", help="write output to a file instead of stdout")
@@ -318,15 +325,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     chosen = args.suite or ["all"]
-    if "all" in chosen:
-        names = list(verify_mod.SUITES)
-    else:
-        names = []
-        for s in chosen:
-            if s not in verify_mod.SUITES:
-                raise UsageError(f"unknown suite {s!r}; choices: "
-                                 f"{', '.join(sorted(verify_mod.SUITES))}, all")
-            names.append(s)
+    # a repeated name runs once
+    names = verify_mod.SUITES if "all" in chosen else dict.fromkeys(chosen)
     given = {"trials": args.trials, "seed": args.seed, "episodes": args.episodes}
     reports = {}
     for name in names:

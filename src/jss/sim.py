@@ -25,13 +25,18 @@ from typing import Optional
 
 from .model import Instance, SearchOrder, check_order
 
+# A batch holds about 40 bytes per episode at once: some 400 MB at the cap.
+EPISODE_LIMIT = 10 ** 7
+
 
 def _run_batch(inst: Instance, order: SearchOrder, n_episodes: int, seed: int):
     """accepted_at array (0 = outside option, else 1-based period)."""
-    import numpy as np
     check_order(inst, order)
     if n_episodes < 1:
         raise ValueError("need at least one episode")
+    if n_episodes > EPISODE_LIMIT:
+        raise ValueError(f"at most {EPISODE_LIMIT} episodes per batch, got {n_episodes}")
+    import numpy as np
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = int(n_episodes)
     high = rng.random(n) < float(inst.prior.mu_h)

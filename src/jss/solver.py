@@ -31,6 +31,7 @@ from .model import (
 BRUTE_FORCE_CAP = 10
 SUBSET_DP_CAP = 20                  # 2^20 rejection sets, each in five lists
 ARGMAX_LIMIT = math.factorial(9)    # most orders a solver lists as its argmax set
+GRID_LIMIT = 100_001                # most priors a sweep builds, one row each
 
 
 class SolverError(ModelError):
@@ -354,10 +355,13 @@ def prior_threshold_2box(j1: Journal, j2: Journal, outside_option=0) -> Threshol
 
 
 def belief_grid(start, stop, count: int) -> tuple[Fraction, ...]:
-    """count evenly spaced exact beliefs from start to stop inclusive."""
+    """count evenly spaced exact beliefs from start to stop inclusive, at
+    most GRID_LIMIT of them."""
     start, stop = parse_number(start), parse_number(stop)
     if count < 2:
         raise SolverError("grid needs at least 2 points")
+    if count > GRID_LIMIT:
+        raise SolverError(f"grid has at most {GRID_LIMIT} points, got {count}")
     step = (stop - start) / (count - 1)
     return tuple(start + k * step for k in range(count))
 

@@ -3,11 +3,13 @@
 Each suite draws seeded instances from the matching generator family,
 tests one claim trial by trial against an independent oracle (exhaustive
 search, a closed form, or the linear mass recursion), and returns a
-VerificationReport.  Trial k always uses random.Random(seed + k).  A
-failing trial records the serialized instance, its trial number and the
-seed seed + k; rerunning with seed - trial as the seed and trial + 1
-trials replays it exactly.  Fixed probes are recorded as trial -1 or -2
-at the base seed.
+VerificationReport.  Trial k always uses random.Random(seed + k) and
+stops at its first failed check, so a suite records at most one failure
+per trial.  A failing trial records the serialized instance, its trial
+number and the seed seed + k; rerunning with seed - trial as the seed
+and trial + 1 trials replays it exactly.  Fixed probes are recorded as
+trial -1 or -2 at the base seed.  `run_suite` raises KeyError for an
+unknown suite name; `jss verify --suite` makes it a usage error (exit 1).
 
 Every suite takes `trials` and `seed`, except `reproduce_counterexamples`,
 which replays the fixed catalog and takes neither.  `verify_mc_consistency`
@@ -107,9 +109,10 @@ class VerificationReport:
 class _Trials:
     """One suite run: its report and clock, and its seeded trials.
 
-    Iterating yields (k, random.Random(seed + k)) for k < trials.  `fail`
-    records the current trial and the seed that replays it; a fixed probe
-    passes trial=-1 or -2 and is recorded at the base seed.
+    `each(body)` calls body(k, random.Random(seed + k)) for k < trials; a
+    body ends a failed trial with `return t.fail(...)`.  `fail` records the
+    current trial and the seed that replays it; a fixed probe passes
+    trial=-1 or -2 and is recorded at the base seed.
     """
 
     def __init__(self, claim: str, trials: int, seed: int):
@@ -124,10 +127,10 @@ class _Trials:
     def rng(self, k: int) -> random.Random:
         return random.Random(self.seed_of(k))
 
-    def __iter__(self):
+    def each(self, body) -> None:
         for k in range(self.report.trials):
             self.trial = k
-            yield k, self.rng(k)
+            body(k, self.rng(k))
         self.trial = None
 
     def fail(self, inst, message, *, trial=None, **data):
@@ -155,7 +158,8 @@ def verify_no_feedback_index(trials: int = 1000, seed: int = 101) -> Verificatio
     t = _Trials(
         claim="q = 0 everywhere: the u - c/a index order matches the "
               "exhaustive optimum exactly", trials=trials, seed=seed)
-    for k, rng in t:
+
+    def trial(k, rng):
         n = rng.randint(2, 7)
         inst = sample_no_feedback(rng, n)
         if k % 4 == 0:
@@ -164,15 +168,14 @@ def verify_no_feedback_index(trials: int = 1000, seed: int = 101) -> Verificatio
         res = brute_force_optimal(inst)
         ranked = index_order_no_feedback(inst)
         if evaluate(inst, ranked.best_order).total != res.best_value:
-            t.fail(inst, "index order value below optimum",
-                   index_value=evaluate(inst, ranked.best_order).total,
-                   optimum=res.best_value)
-            continue
+            return t.fail(inst, "index order value below optimum",
+                          index_value=evaluate(inst, ranked.best_order).total,
+                          optimum=res.best_value)
         if ranked.best_order.perm not in res.argmax_set:
-            t.fail(inst, "index order missing from argmax set")
-            continue
+            return t.fail(inst, "index order missing from argmax set")
         if k % 4 == 0 and evaluate(inst, monotone_order(inst)).total != res.best_value:
             t.fail(inst, "zero costs: payoff-sorted order not optimal")
+    t.each(trial)
     twin = Instance((Journal("A", 3, Fraction(1, 2), 0, Fraction(1, 4)),
                      Journal("B", 3, Fraction(1, 2), 0, Fraction(1, 4))),
                     Belief(Fraction(2, 3)))
@@ -203,44 +206,36 @@ def verify_order_independent_indexing(trials: int = 500,
         claim="order-independent instances (prior above the shared floor): "
               "payoff-sorted in argmax, subset DP = brute force, exit "
               "probabilities order-invariant", trials=trials, seed=seed)
-    for k, rng in t:
+
+    def trial(k, rng):
         n = rng.randint(2, 6)
         inst = sample_order_independent(rng, n)
         res = brute_force_optimal(inst)
         mono = monotone_order(inst)
         if evaluate(inst, mono).total != res.best_value:
-            t.fail(inst, "payoff-sorted order suboptimal",
-                   monotone_value=evaluate(inst, mono).total, optimum=res.best_value)
-            continue
+            return t.fail(inst, "payoff-sorted order suboptimal",
+                          monotone_value=evaluate(inst, mono).total,
+                          optimum=res.best_value)
         dp = subset_dp_optimal(inst)
         if dp.best_value != res.best_value:
-            t.fail(inst, "subset DP disagrees with brute force",
-                   dp_value=dp.best_value, optimum=res.best_value)
-            continue
+            return t.fail(inst, "subset DP disagrees with brute force",
+                          dp_value=dp.best_value, optimum=res.best_value)
         if dp.argmax_set != res.argmax_set:
-            t.fail(inst, "subset DP argmax set differs")
-            continue
+            return t.fail(inst, "subset DP argmax set differs")
         mu0 = inst.prior
         probes = [mu0] + [update_belief(j, mu0) for j in inst.journals[:2]]
-        ok = True
         for i, jj in itertools.combinations(range(n), 2):
             ji, jjj = inst.journals[i], inst.journals[jj]
             for b in probes:
                 lhs = (1 - ji.a * b.mu_h) * (1 - jjj.a * update_belief(ji, b).mu_h)
                 rhs = (1 - jjj.a * b.mu_h) * (1 - ji.a * update_belief(jjj, b).mu_h)
                 if lhs != rhs:
-                    t.fail(inst,
-                           "exit probability depends on pair order",
-                           pair=(ji.name, jjj.name))
-                    ok = False
-                    break
+                    return t.fail(inst, "exit probability depends on pair order",
+                                  pair=(ji.name, jjj.name))
                 if update_belief(jjj, update_belief(ji, b)) != \
                         update_belief(ji, update_belief(jjj, b)):
-                    t.fail(inst, "belief updates fail to commute")
-                    ok = False
-                    break
-            if not ok:
-                break
+                    return t.fail(inst, "belief updates fail to commute")
+    t.each(trial)
     # Below the shared floor the payoff-sorted order genuinely loses; show one.
     probe = Instance(
         (Journal("J1", 3, Fraction(1, 5), Fraction(1, 10)),
@@ -264,7 +259,8 @@ def verify_two_box_base_case(trials: int = 1000, seed: int = 103) -> Verificatio
     t = _Trials(
         claim="strictly regular two-box instances above the floor: "
               "payoff-sorted order uniquely optimal", trials=trials, seed=seed)
-    for k, rng in t:
+
+    def trial(k, rng):
         inst = sample_regular_2box(rng, 2)
         if k % 5 == 4:
             j1, j2 = inst.journals
@@ -273,15 +269,15 @@ def verify_two_box_base_case(trials: int = 1000, seed: int = 103) -> Verificatio
             floor = feedback_threshold(j2)
             prior = floor + (1 - floor) * _frac(rng, 0, 1, 64)
             inst = Instance((j1, j2), Belief(prior), 0)
-            res = brute_force_optimal(inst)
-            if (0, 1) not in res.argmax_set:
+            if (0, 1) not in brute_force_optimal(inst).argmax_set:
                 t.fail(inst, "weakly regular tie: payoff-sorted missing from argmax")
-            continue
+            return
         res = brute_force_optimal(inst)
         if res.argmax_set != ((0, 1),):
             t.fail(inst,
                    "strict regularity: argmax should be exactly the sorted order",
                    argmax=res.argmax_set)
+    t.each(trial)
     case = BY_NAME["strong_feedback_showcase"]
     inside = case.instance(Fraction(167, 290))  # between 4/7 and 17/29
     res = brute_force_optimal(inside)
@@ -303,10 +299,10 @@ def verify_weak_feedback_monotonicity(trials: int = 500,
     t = _Trials(
         claim="exponential regularity + belief floor: payoff-sorted order "
               "uniquely optimal", trials=trials, seed=seed)
-    for k, rng in t:
+
+    def trial(k, rng):
         n = rng.randint(2, 6)
         inst = sample_exp_regular_gbwf(rng, n)
-        res = brute_force_optimal(inst)
         if k % 6 == 5 and n >= 3:
             # weak variant: collapse one adjacent a or q pair to a tie
             js = list(inst.journals)
@@ -316,16 +312,16 @@ def verify_weak_feedback_monotonicity(trials: int = 500,
             else:
                 js[i + 1] = replace(js[i + 1], q=js[i].q)
             weak = Instance(tuple(js), inst.prior, 0)
-            if not (check_regularity(weak).passed
-                    and check_globally_bounded_weak_feedback(weak).passed):
-                continue
-            wres = brute_force_optimal(weak)
-            if tuple(range(n)) not in wres.argmax_set:
+            if (check_regularity(weak).passed
+                    and check_globally_bounded_weak_feedback(weak).passed
+                    and tuple(range(n)) not in brute_force_optimal(weak).argmax_set):
                 t.fail(weak, "weak regularity: payoff-sorted missing from argmax")
-            continue
+            return
+        res = brute_force_optimal(inst)
         if res.argmax_set != (tuple(range(n)),):
             t.fail(inst, "payoff-sorted order not the unique optimum",
                    argmax=res.argmax_set)
+    t.each(trial)
     return t.done()
 
 
@@ -348,7 +344,8 @@ def verify_commutation_sign(trials: int = 10000, seed: int = 105) -> Verificatio
         claim="two-rejection posterior difference carries the sign of "
               "a1*q2 - a2*q1 on the whole interior grid", trials=trials, seed=seed)
     grid = [(num, 22) for num in range(1, 22)]
-    for k, rng in t:
+
+    def trial(k, rng):
         den = 48
         a1 = Fraction(rng.randint(1, den), den)
         q1 = Fraction(rng.randint(0, den - 1), den)
@@ -369,13 +366,12 @@ def verify_commutation_sign(trials: int = 10000, seed: int = 105) -> Verificatio
         for num, d in grid:
             got = _composition_sign(boxes, num, d - num)
             if got != want_sign:
-                t.fail(None, "sign law violated",
-                       a1=a1, q1=q1, a2=a2, q2=q2, mu=Fraction(num, d),
-                       expected=want_sign, got=got)
-                break
-        else:
-            if _composition_sign(boxes, 1, 0) != 0:
-                t.fail(None, "compositions differ at prior 1")
+                return t.fail(None, "sign law violated",
+                              a1=a1, q1=q1, a2=a2, q2=q2, mu=Fraction(num, d),
+                              expected=want_sign, got=got)
+        if _composition_sign(boxes, 1, 0) != 0:
+            t.fail(None, "compositions differ at prior 1")
+    t.each(trial)
     t.note(
         "at prior 0 the compositions genuinely differ (they agree only when "
         "a1*q2 = a2*q1); the zero-difference boundary is the prior-1 end")
@@ -390,7 +386,8 @@ def verify_ratio_bound(trials: int = 500, seed: int = 106) -> VerificationReport
     t = _Trials(
         claim="regular pairs keep the posterior ratio above the survival "
               "ratio on the interior grid", trials=trials, seed=seed)
-    for k, rng in t:
+
+    def trial(k, rng):
         den = 40
         lo_ai = rng.randint(1, den - 1)
         hi_ai = rng.randint(lo_ai, den)
@@ -403,17 +400,15 @@ def verify_ratio_bound(trials: int = 500, seed: int = 106) -> VerificationReport
             g1 = mu * (1 - j1.a) + j1.q * (1 - mu)
             g2 = mu * (1 - j2.a) + j2.q * (1 - mu)
             if g1 < g2:
-                t.fail(None, "mass comparison failed",
-                       a1=j1.a, q1=j1.q, a2=j2.a, q2=j2.q, mu=mu)
-                break
+                return t.fail(None, "mass comparison failed",
+                              a1=j1.a, q1=j1.q, a2=j2.a, q2=j2.q, mu=mu)
             if num % 7 == 0:
                 b = Belief(mu)
                 f1 = update_belief(j1, b).mu_h
                 f2 = update_belief(j2, b).mu_h
                 if f2 > 0 and Fraction(f1, f2) < Fraction(1 - j2.a * mu, 1 - j1.a * mu):
-                    t.fail(None, "ratio form failed",
-                           a1=j1.a, q1=j1.q, a2=j2.a, q2=j2.q, mu=mu)
-                    break
+                    return t.fail(None, "ratio form failed",
+                                  a1=j1.a, q1=j1.q, a2=j2.a, q2=j2.q, mu=mu)
         if k % 8 == 7:
             # converse: violate regularity (q2 > q1), find a crossing prior
             q1i = rng.randint(0, den - 2)
@@ -430,6 +425,7 @@ def verify_ratio_bound(trials: int = 500, seed: int = 106) -> VerificationReport
                 t.fail(None,
                        "expected a violation witness for the irregular pair",
                        a1=a1, q1=q1, a2=a2, q2=q2, mu=mu_w)
+    t.each(trial)
     return t.done()
 
 
@@ -456,7 +452,8 @@ def verify_single_crossing(trials: int = 500, seed: int = 107) -> VerificationRe
         claim="first-two-swap mass differences are single-signed with the "
               "linear-recursion closed form; survival gaps never grow",
         trials=trials, seed=seed)
-    for k, rng in t:
+
+    def trial(k, rng):
         n = rng.randint(3, 6)
         inst = _sample_regular(rng, n)
         regular = True
@@ -487,45 +484,33 @@ def verify_single_crossing(trials: int = 500, seed: int = 107) -> VerificationRe
 
         ds = []
         prod = Fraction(1)
-        ok = True
         for s in range(2, n + 1):  # trace index: belief entering period s+1
             d = tr1.reach[s] * tr1.beliefs[s] - tr2.reach[s] * tr2.beliefs[s]
             ds.append(d)
             if d != w * (1 - mu) * prod:
-                t.fail(inst, "closed form mismatch",
-                       s=s + 1, got=d, expected=w * (1 - mu) * prod)
-                ok = False
-                break
+                return t.fail(inst, "closed form mismatch",
+                              s=s + 1, got=d, expected=w * (1 - mu) * prod)
             rdiff = tr1.reach[s] - tr2.reach[s]
             if rdiff != d:
-                t.fail(inst, "survival difference should equal the mass difference")
-                ok = False
-                break
+                return t.fail(inst, "survival difference should equal the mass difference")
             prod *= 1 - inst.journals[tail[s - 2]].a if s - 2 < len(tail) else 1
-        if not ok:
-            continue
         seen_neg = False
         crossing = n + 2
         for s, d in zip(range(3, n + 2), ds):
             # zeros after a negative run are fine (a=1 in the tail kills prod)
             if seen_neg and d > 0:
-                t.fail(inst, "mass difference recovered after turning negative")
-                ok = False
-                break
+                return t.fail(inst, "mass difference recovered after turning negative")
             if d < 0 and not seen_neg:
                 seen_neg = True
                 crossing = s
-        if not ok:
-            continue
         if regular and crossing != n + 2:
-            t.fail(inst, "regular instance should never cross", crossing=crossing)
-            continue
+            return t.fail(inst, "regular instance should never cross", crossing=crossing)
         d3 = ds[0]
         if any(abs(d) > abs(d3) for d in ds):
-            t.fail(inst, "survival gap exceeded its first value")
-            continue
+            return t.fail(inst, "survival gap exceeded its first value")
         if twin and any(d != 0 for d in ds):
             t.fail(inst, "identical first two boxes should give zero differences")
+    t.each(trial)
     t.note(
         "the sign is constant (not just single-crossing): the linear mass "
         "recursion scales d_3 by nonnegative survival factors, so a "
@@ -540,7 +525,8 @@ def verify_normalization_shift(trials: int = 200,
     t = _Trials(
         claim="payoff/outside shifts move all order values by exactly the "
               "shift and preserve argmax sets", trials=trials, seed=seed)
-    for k, rng in t:
+
+    def trial(k, rng):
         n = rng.randint(2, 5)
         inst = sample_unconstrained(rng, n)
         boxes0, prior0, out0 = _engine.prepare(inst)
@@ -552,28 +538,21 @@ def verify_normalization_shift(trials: int = 200,
         for K in (-3, 1, 10):
             shifted = normalize(inst, K)
             boxes1, prior1, out1 = _engine.prepare(shifted)
-            ok = True
             for perm, v0 in values0:
                 v1 = _engine.order_value(boxes1, perm, prior1, out1)
                 if v1 != v0 - K:
-                    t.fail(inst, "shift identity failed",
-                           shift=Fraction(K), order=perm, base=v0, shifted=v1)
-                    ok = False
-                    break
-            if ok and evaluate(shifted, mono).total != mono_value - K:
-                t.fail(inst, "trace-path shift identity failed", shift=Fraction(K))
-                ok = False
-            if not ok:
-                break
+                    return t.fail(inst, "shift identity failed",
+                                  shift=Fraction(K), order=perm, base=v0, shifted=v1)
+            if evaluate(shifted, mono).total != mono_value - K:
+                return t.fail(inst, "trace-path shift identity failed", shift=Fraction(K))
             if brute_force_optimal(shifted).argmax_set != a0:
-                t.fail(inst, "argmax set changed under shift", shift=Fraction(K))
-                break
+                return t.fail(inst, "argmax set changed under shift", shift=Fraction(K))
             if k % 10 == 0:
                 f0, f1 = (_engine.order_value(b, mono.perm, p, o) for b, p, o in
                           map(_engine.prepare_float, (inst, shifted)))
                 if abs(f1 - (f0 - float(K))) > 1e-9:
-                    t.fail(inst, "float-mode shift drifted")
-                    break
+                    return t.fail(inst, "float-mode shift drifted")
+    t.each(trial)
     return t.done()
 
 
@@ -585,27 +564,24 @@ def reproduce_counterexamples() -> VerificationReport:
         claim="catalog thresholds exact; quoted evaluation points replayed",
         trials=len(CASES), seed=0)
     eps = Fraction(1, 1000)
-    for idx, _ in t:
+
+    def trial(idx, _rng):
         case = CASES[idx]
         thr = prior_threshold_2box(case.journals[0], case.journals[1])
         inst0 = case.instance(case.flip_boundary)
         if thr.kind != "threshold" or thr.mu_star != case.flip_boundary:
-            t.fail(inst0, f"{case.name}: boundary mismatch",
-                   expected=case.flip_boundary,
-                   got=thr.mu_star if thr.mu_star is not None else thr.kind)
-            continue
+            return t.fail(inst0, f"{case.name}: boundary mismatch",
+                          expected=case.flip_boundary,
+                          got=thr.mu_star if thr.mu_star is not None else thr.kind)
         if thr.direction != "above":
-            t.fail(inst0, f"{case.name}: unexpected direction")
-            continue
+            return t.fail(inst0, f"{case.name}: unexpected direction")
         at = brute_force_optimal(inst0)
         if len(at.argmax_set) != 2:
-            t.fail(inst0, f"{case.name}: no tie at the boundary")
-            continue
+            return t.fail(inst0, f"{case.name}: no tie at the boundary")
         above = brute_force_optimal(case.instance(case.flip_boundary + eps))
         below = brute_force_optimal(case.instance(case.flip_boundary - eps))
         if above.argmax_set != ((0, 1),) or below.argmax_set != ((1, 0),):
-            t.fail(inst0, f"{case.name}: wrong side preference")
-            continue
+            return t.fail(inst0, f"{case.name}: wrong side preference")
         if case.quoted_prior is not None:
             res = brute_force_optimal(case.instance(case.quoted_prior))
             actual = "monotone" if res.best_order.perm == (0, 1) else "nonmonotone"
@@ -620,6 +596,7 @@ def reproduce_counterexamples() -> VerificationReport:
                     f"{case.name}: DISCREPANCY - commonly quoted as "
                     f"{case.quoted_behavior} at prior {q}, but exact evaluation "
                     f"gives {actual}; the flip boundary is {b}")
+    t.each(trial)
     case = BY_NAME["weak_feedback_floor"]
     low = check_globally_bounded_weak_feedback(case.instance(Fraction(1, 20)))
     high = check_globally_bounded_weak_feedback(case.instance(Fraction(9, 10)))
@@ -713,7 +690,7 @@ def verify_mc_consistency(trials: int = 20, seed: int = 109,
                         f"(|z| = {abs(freq - p) / sigma:.2f})")
         return None
 
-    for i, _ in t:
+    def trial(i, _rng):
         inst, order = runs[i]
         msg = within(inst, order, t.seed_of(i))
         if msg is not None:
@@ -724,6 +701,7 @@ def verify_mc_consistency(trials: int = 20, seed: int = 109,
                     "passed on a fresh seed; kept")
             else:
                 t.fail(inst, f"simulation off twice: {retry}", order=list(order.perm))
+    t.each(trial)
     return t.done()
 
 

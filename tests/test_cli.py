@@ -2,11 +2,15 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+import jss.cli as cli
 from jss import Belief, Instance, Journal, SearchOrder, example_pair, save_instance
-from jss.cli import build_parser, main
+from jss.cli import TRIAL_LIMIT, build_parser, main
+from jss.sim import EPISODE_LIMIT
+from jss.solver import GRID_LIMIT, SweepResult
 from jss.verify import VerificationReport
 
 
@@ -384,6 +388,42 @@ def test_out_of_range_counts_and_seeds_are_usage_errors(argv, pair_file, capsys)
     assert "Traceback" not in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["verify", "--suite", "mc_consistency", "--episodes", str(EPISODE_LIMIT + 1)],
+     EPISODE_LIMIT),
+    (["verify", "--suite", "mc_consistency", "--trials", str(TRIAL_LIMIT + 1)], TRIAL_LIMIT),
+    (["simulate", "--episodes", str(EPISODE_LIMIT + 1)], EPISODE_LIMIT),
+    (["sweep", "--grid", f"0:1:{GRID_LIMIT + 1}"], GRID_LIMIT),
+], ids=["verify --episodes", "verify --trials", "simulate --episodes", "sweep --grid"])
+def test_counts_past_their_caps_exit_1_fast(argv, limit, pair_file, capsys):
+    if argv[0] != "verify":
+        argv = [*argv, "-i", pair_file]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and str(limit) in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_each_cap_itself_is_accepted(pair_file, monkeypatch):
+    parser = build_parser()
+    args = parser.parse_args(["verify", "--trials", str(TRIAL_LIMIT),
+                              "--episodes", str(EPISODE_LIMIT)])
+    assert (args.trials, args.episodes) == (TRIAL_LIMIT, EPISODE_LIMIT)
+    args = parser.parse_args(["simulate", "-i", pair_file, "--episodes", str(EPISODE_LIMIT)])
+    assert args.episodes == EPISODE_LIMIT
+    # the grid is read by cmd_sweep: build it, but do not sweep it
+    sizes = []
+
+    def count_only(inst, grid, **kwargs):
+        sizes.append(len(grid))
+        return SweepResult(labels=(), rows=(), mode="exact")
+    monkeypatch.setattr(cli, "payoff_sweep", count_only)
+    assert main(["sweep", "-i", pair_file, "--grid", f"0:1:{GRID_LIMIT}"]) == 0
+    assert sizes == [GRID_LIMIT]
+
+
 @pytest.mark.parametrize("argv, code, start", [
     (["solve", "-i", '{"journals": [{"u": 1, "a": 0.5}], "prior_h": '], 2,
      "error: invalid JSON:"),
@@ -405,6 +445,20 @@ def test_verify_subcommand(capsys):
     assert out.startswith("[two_box_base_case] VERIFIED")
 
     assert main(["verify", "--suite", "nope"]) == 1
+
+
+def test_a_repeated_suite_name_runs_once(capsys, monkeypatch):
+    import jss.verify as verify_mod
+    real, calls = verify_mod.run_suite, []
+
+    def counted(name, **kwargs):
+        calls.append(name)
+        return real(name, **kwargs)
+    monkeypatch.setattr(verify_mod, "run_suite", counted)
+    assert main(["verify", "--suite", "ratio_bound", "--suite", "counterexamples",
+                 "--suite", "ratio_bound", "--trials", "2", "--json"]) == 0
+    assert calls == ["ratio_bound", "counterexamples"]
+    assert list(json.loads(capsys.readouterr().out)) == calls
 
 
 def test_verify_flags_reach_only_suites_that_take_them(capsys):
@@ -487,7 +541,8 @@ def test_the_cached_parser_keeps_no_state_between_calls(pair_file, capsys):
         priors.append(json.loads(capsys.readouterr().out)["instance"]["prior_h"])
     assert priors == ["1/3", "1/2"]
     parser = build_parser()
-    assert parser.parse_args(["verify", "--suite", "a", "--suite", "b"]).suite == ["a", "b"]
+    assert parser.parse_args(["verify", "--suite", "ratio_bound", "--suite", "all"]).suite == [
+        "ratio_bound", "all"]
     assert parser.parse_args(["verify"]).suite is None
 
 

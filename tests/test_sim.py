@@ -20,6 +20,7 @@ from jss import (
     simulate_batch,
 )
 from jss.generators import sample_unconstrained
+from jss.sim import EPISODE_LIMIT
 
 
 @pytest.fixture
@@ -91,6 +92,11 @@ def test_single_episode_has_no_stderr(pair):
 def test_zero_episodes_rejected(pair):
     with pytest.raises(ValueError):
         estimate_value(pair, ORDER, 0)
+
+
+def test_episodes_past_the_cap_are_refused_before_drawing(pair):
+    with pytest.raises(ValueError, match=f"at most {EPISODE_LIMIT} episodes"):
+        simulate_batch(pair, ORDER, EPISODE_LIMIT + 1)
 
 
 def test_certain_acceptance_path():

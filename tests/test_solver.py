@@ -29,6 +29,7 @@ from jss import (
 from jss import _engine
 from jss._engine import FLOAT_TIE_TOL
 from jss.catalog import BY_NAME
+from jss.solver import GRID_LIMIT
 from jss.generators import sample_order_independent
 
 
@@ -432,6 +433,11 @@ def test_belief_grid_exact_endpoints():
         belief_grid(0, 1, 1)
 
 
+def test_belief_grid_refuses_more_points_than_its_cap():
+    with pytest.raises(SolverError, match=f"at most {GRID_LIMIT} points"):
+        belief_grid(0, 1, GRID_LIMIT + 1)
+
+
 def test_payoff_sweep_single_flip(pair):
     table = payoff_sweep(pair, belief_grid(0, 1, 101))
     assert len(table.rows) == 101
@@ -524,27 +530,36 @@ GRID_JOURNALS = [(u, a, q, c) for u in (0, 1, 2) for a in (0, F(1, 2), 1)
                  for q in (0, F(1, 4), F(1, 2)) for c in (0, F(1, 2))]
 
 
-def test_every_two_journal_grid_instance_agrees_across_routes():
-    """Every multiset of two journals with u in {0, 1, 2}, a in {0, 1/2, 1},
-    q in {0, 1/4, 1/2} and c in {0, 1/2}, at priors 0, 1/2 and 1: 4455
-    instances, each route checked against model.evaluate over both orders.
+@pytest.mark.parametrize("size, step, expected", [
+    (2, 1, {"instances": 4455, "commuting": 1755, "no_feedback": 513}),
+    (3, 40, {"instances": 2079, "commuting": 324, "no_feedback": 117}),
+], ids=["2", "3"])
+def test_grid_instances_agree_across_routes(size, step, expected):
+    """Multisets of `size` journals with u in {0, 1, 2}, a in {0, 1/2, 1},
+    q in {0, 1/4, 1/2} and c in {0, 1/2}, at priors 0, 1/2 and 1, each
+    route checked against model.evaluate over every order.  Two journals:
+    every multiset, 4455 instances.  Three: every 40th of the 27 720
+    multisets, 2079 instances.  prior_threshold_2box runs only on pairs,
+    and the subset DP only where every pair of journals commutes.
 
     The index rule is checked only for an optimal value and an order in
     brute force's argmax set.  Its set lists only the orders that permute
     journals with equal keys u - c/a, so it misses other tied orders: 203
-    of the 513 feedback-free instances here (ROADMAP item 5)."""
-    perms = ((0, 1), (1, 0))
+    of the 513 feedback-free pairs here (ROADMAP item 5)."""
+    perms = tuple(itertools.permutations(range(size)))
     counts = {"instances": 0, "commuting": 0, "no_feedback": 0}
-    for j1, j2 in itertools.combinations_with_replacement(GRID_JOURNALS, 2):
-        pair = Instance((Journal("A", *j1), Journal("B", *j2)), Belief(0))
+    multisets = itertools.combinations_with_replacement(GRID_JOURNALS, size)
+    for rates in itertools.islice(multisets, 0, None, step):
+        base = Instance(tuple(Journal(name, *r) for name, r in zip("ABC", rates)), Belief(0))
         # each order's values at priors 1 and 0; the prior does not move them
-        lines = [tuple(evaluate(pair.with_prior(end), SearchOrder(p)).total
+        lines = [tuple(evaluate(base.with_prior(end), SearchOrder(p)).total
                        for end in (1, 0)) for p in perms]
-        th = prior_threshold_2box(*pair.journals)
-        assert (th.diff_at_1, th.diff_at_0) == tuple(
-            v - w for v, w in zip(*lines)), dump_instance(pair)
+        if size == 2:
+            th = prior_threshold_2box(*base.journals)
+            assert (th.diff_at_1, th.diff_at_0) == tuple(
+                v - w for v, w in zip(*lines)), dump_instance(base)
         for mu in (0, F(1, 2), 1):
-            inst = pair.with_prior(mu)
+            inst = base.with_prior(mu)
             case = dump_instance(inst)
             values = [evaluate(inst, SearchOrder(p)).total for p in perms]
             best = max(values)
@@ -561,15 +576,15 @@ def test_every_two_journal_grid_instance_agrees_across_routes():
                 assert _engine.order_line(kernel, p) == line, case
             assert pairwise_swap_local_search(inst).best_value <= best, case
 
-            a, b = inst.journals
-            if a.a * b.q == b.a * a.q:
+            if all(a.a * b.q == b.a * a.q
+                   for a, b in itertools.combinations(inst.journals, 2)):
                 dp = subset_dp_optimal(inst)
                 assert (dp.best_value, dp.argmax_set) == (best, exact.argmax_set), case
                 counts["commuting"] += 1
-            if a.q == b.q == 0:
+            if all(j.q == 0 for j in inst.journals):
                 ranked = index_order_no_feedback(inst)
                 assert ranked.best_value == best, case
                 assert ranked.best_order.perm in exact.argmax_set, case
                 counts["no_feedback"] += 1
             counts["instances"] += 1
-    assert counts == {"instances": 4455, "commuting": 1755, "no_feedback": 513}
+    assert counts == expected

@@ -10,7 +10,7 @@ import pytest
 import jss.sim as sim_mod
 import jss.verify as verify_mod
 from jss import SUITES, run_all, run_suite
-from jss.model import SearchOrder
+from jss.model import Belief, SearchOrder
 from jss.verify import reproduce_counterexamples, verify_two_box_base_case
 
 
@@ -60,9 +60,11 @@ def test_failure_records_are_replayable():
     from jss import example_pair
 
     t = _Trials(claim="format probe", trials=4, seed=107)
-    for k, _ in t:
+
+    def trial(k, _rng):
         if k == 3:
             t.fail(example_pair("1/2"), "probe", extra=7)
+    t.each(trial)
     rep = t.done()
     assert rep.status == "falsified"
     entry = rep.failures[0]
@@ -115,6 +117,49 @@ def test_failure_seeds_replay_their_trial(monkeypatch):
     replay = run_suite("no_feedback_index", trials=last["trial"] + 1,
                        seed=last["seed"] - last["trial"])
     assert replay.failures[last["trial"]] == last
+
+
+def _altered(change):
+    """A fault: call the real callee, then change its result."""
+    return lambda real: lambda *args: change(real(*args))
+
+
+_reversed = _altered(lambda res: dataclasses.replace(
+    res, argmax_set=tuple(perm[::-1] for perm in res.argmax_set)))
+
+# suite -> (the name it calls in jss.verify, the fault that wraps that callee)
+FAULTS = {
+    "order_independent_indexing": ("subset_dp_optimal", _altered(
+        lambda res: dataclasses.replace(res, best_value=res.best_value + 1))),
+    "two_box_base_case": ("brute_force_optimal", _reversed),
+    "weak_feedback_monotonicity": ("brute_force_optimal", _reversed),
+    "commutation_sign": ("_composition_sign", lambda real: lambda *args: 2),
+    # B1 is the high box: a posterior of 0 falls below the survival ratio
+    "ratio_bound": ("update_belief", lambda real: lambda j, b: (
+        Belief(0) if j.name == "B1" else real(j, b))),
+    "single_crossing": ("evaluate", _altered(lambda trace: dataclasses.replace(
+        trace, beliefs=tuple(b / 2 for b in trace.beliefs)))),
+    "normalization_shift": ("normalize", lambda real: lambda inst, shift: real(inst, shift + 1)),
+    "counterexamples": ("prior_threshold_2box", _altered(
+        lambda thr: dataclasses.replace(thr, direction="below"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_a_faulty_callee_fails_each_trial_once_at_its_seed(name, monkeypatch):
+    target, wrap = FAULTS[name]
+    monkeypatch.setattr(verify_mod, target, wrap(getattr(verify_mod, target)))
+    kwargs = dict(SMALL[name])
+    if "seed" in inspect.signature(SUITES[name]).parameters:
+        kwargs["seed"] = 300
+    base = kwargs.get("seed", 0)
+    report = run_suite(name, **kwargs)
+    assert report.status == "falsified"
+    trials = [f["trial"] for f in report.failures]
+    assert any(k >= 0 for k in trials)
+    for f in report.failures:
+        assert f["seed"] == base + max(f["trial"], 0), f
+    assert len(trials) == len(set(trials)), trials
 
 
 @pytest.mark.parametrize("seed", [614689, 750074])
