@@ -21,17 +21,18 @@ leaf totals V + O (H + L) share one denominator, E * den(prior) * prod(d),
 and compare as plain ints: exact ties are int equality.  Float mode runs
 the same step with d = 1 and float coefficients.
 
-The walk prunes with a payoff bound that keeps every tie; see _walk.
+The walk prunes with a value-to-go bound that keeps every tie; see _walk.
 
 model.evaluate stays the readable Bayes-form reference; tests pin
 order_value, order_line and both walkers against it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
-from math import lcm
+from math import factorial, lcm, prod
 
 # Float values within this much (relative to max(1, |best|)) of the best
 # tie with it; see tie_slack.
@@ -42,6 +43,8 @@ FLOAT_TIE_TOL = 1e-12
 # bound can reach (see _walk); the rounding of ten float steps is under
 # 1e-12 of it.
 FLOAT_BOUND_ALLOWANCE = 1e-9
+
+ARGMAX_LIMIT = factorial(9)     # most orders a solver lists as its argmax set
 
 # A box is the tuple (d, d - A, Q, d - Q, U A, C d) that step() reads;
 # d = 1 in float mode.
@@ -132,14 +135,32 @@ def best_orders(inst, first: int | None = None):
     lexicographic order, classes, pruned subtrees); expand(perms, classes)
     lists the whole argmax set.  `first` pins the first submission, which
     is how the parallel driver slices the tree; pin only the first member
-    of a class.
+    of a class.  Raises TieLimit once the argmax set is known to hold more
+    than ARGMAX_LIMIT orders.
     """
-    return _walk(prepare(inst), first, 0, 0)
+    return _walk(prepare(inst), first, 0, 0, ARGMAX_LIMIT)
 
 
 def best_orders_float(inst, first: int | None = None, tol: float = FLOAT_TIE_TOL):
     """Float twin of best_orders; ties are values within tie_slack of the best."""
     return _walk(prepare_float(inst), first, tol, FLOAT_BOUND_ALLOWANCE)
+
+
+class TieLimit(Exception):
+    """An exact walk stopped: the argmax set has at least args[0] orders,
+    more than the walk's limit."""
+
+
+def rest_table(boxes):
+    """rest[used]: the product of d over the journals not in `used` (1 in
+    float mode), the factor a gain made on the way to `used` still lacks
+    for the denominator all complete orders share."""
+    full = (1 << len(boxes)) - 1
+    rest = [1] * (full + 1)
+    for t in range(full - 1, -1, -1):
+        j = (~t & (t + 1)).bit_length() - 1     # the lowest journal not in t
+        rest[t] = rest[t | 1 << j] * boxes[j][0]
+    return rest
 
 
 def classes(boxes):
@@ -148,6 +169,12 @@ def classes(boxes):
     order."""
     first = {}
     return tuple(first.setdefault(box, i) for i, box in enumerate(boxes))
+
+
+def relabellings(cls):
+    """How many orders each canonical order stands for: the product of
+    the factorials of the class sizes."""
+    return prod(map(factorial, Counter(cls).values()))
 
 
 def expand(perms, cls):
@@ -172,44 +199,11 @@ def expand(perms, cls):
     return sorted(tuple(map(to, p)) for p in perms for to in relabels)
 
 
-def _walk(kernel, first, tol, rounding):
-    """Walk every canonical order once per shared prefix (about e * I!
-    steps for distinct journals), skipping subtrees the payoff bound rules
-    out, and keep the totals that tie with the best.
-
-    An order is canonical when each class's members appear in index
-    order: journal i is free only once the previous member of its class
-    is used.  A canonical order is the lexicographically first of its
-    relabellings, whose totals are equal, so the relabellings the walk
-    skips would never have moved the best or its tie slack.
-
-    The bound.  From a node with mass (h, l) and value v, the mass left
-    after the free journals is at least m = h Pa + l Pq, where Pa and Pq
-    are the products of 1 - a and 1 - q over them: h loses at most a
-    share a at each, l exactly a share q.  So at most h + l - m is
-    accepted, at a payoff of at most U, the lowest free index's (journals
-    are sorted by decreasing u), and each later cost c >= 0 is paid on at
-    least m: no completion beats
-        v + o (h + l) + max(U - o, 0) (h + l - m) - m * sum(free c).
-    In kernel units, with rest the product of the free journals' d (1 in
-    float mode), that is rest * V + bh * H + bl * L, with bh and bl
-    tabled per set of used journals.
-
-    A subtree is cut only when its bound is below the floor: the best
-    total so far, minus its tie slack, minus `rounding` times
-    S = (H0 + L0) (|O| + max |U| + sum C), which bounds every value and
-    bound the walk meets (0 in exact mode, FLOAT_BOUND_ALLOWANCE in float
-    mode, far above the float rounding of a bound or a total).  The floor
-    only rises, so a cut total would never have entered the argmax set or
-    moved the best: ties survive, and the result is the unpruned walk's.
-    The walk reaches the payoff-sorted order first, a strong incumbent.
-    Every child tests the bound.  At a leaf rest = 1 and bh = bl = O, so it
-    is the order's total: exactly, or within a few float ulps of S.
-    """
-    boxes, (h0, l0), (o, finish, uc) = kernel
-    n = len(boxes)
-    full = (1 << n) - 1
-    cls = classes(boxes)
+def tables(boxes, cls, o):
+    """The walk's tables, indexed by the set of used journals (see _walk):
+    free[used], the journals free at `used` in index order, and rest, bh
+    and bl of the bound, whose bh and bl hold on the canonical sets."""
+    full = (1 << len(boxes)) - 1
     last = {}
     after = []      # bit of the previous member of journal i's class, or 0
     for i, r in enumerate(cls):
@@ -218,35 +212,110 @@ def _walk(kernel, first, tol, rounding):
     # free[used]: the journals free at `used`, in index order.  Built by
     # doubling over the journals: a set without journal i gains i when it
     # holds i's predecessor, and a set with i shares the list of the set
-    # without it.
+    # without it.  Every set short of the full one has a free journal.
+    # The canonical sets, which the walk reaches, grow the same way.
     free = [[]]
+    reached = [0]
     for i, p in enumerate(after):
         free = [f + [i] if used & p == p else f for used, f in enumerate(free)] + free
-    # rest[used] * v + bh[used] * h + bl[used] * l bounds every completion.
-    # Over the set F of free journals, bh = rest * w - pa * z and
-    # bl = rest * w - pq * z: rest, pa and pq are the products of d, d - A
-    # and d - Q over F, w = O + gain and z = gain + sum(C), where gain is
-    # max(U - O, 0) for F's lowest index.  Each table is built by doubling,
-    # so F's highest bit is the journal joined last; reversed, a table is
-    # indexed by the used set, full - F.
-    rest, pa, pq, w, z = [1], [1], [1], [o], [0]
-    for (d, da, _, dq, _, _), (u, c) in zip(boxes, uc):
-        g = max(u - o, 0)
-        rest += [x * d for x in rest]
-        pa += [x * da for x in pa]
-        pq += [x * dq for x in pq]
-        w += [o + g, *w[1:]]
-        z += [g + c, *[x + c for x in z[1:]]]
-    rw = [r * x for r, x in zip(rest, w)]
-    bh = [x - a * y for x, a, y in zip(rw, pa, z)][::-1]
-    bl = [x - q * y for x, q, y in zip(rw, pq, z)][::-1]
-    rest.reverse()
+        reached += [used | 1 << i for used in reached if used & p == p]
+    rest = rest_table(boxes)
+    # bh and bl from the full set down; a canonical set's free moves lead
+    # to canonical sets
+    bh = [o] * (full + 1)
+    bl = [o] * (full + 1)
+    moves = [(1 << i, da, q, dq, cd, ua - cd) for i, (_, da, q, dq, ua, cd) in enumerate(boxes)]
+    for used in sorted(reached, reverse=True)[1:]:
+        h = l = float("-inf")
+        for i in free[used]:
+            bit, da, q, dq, cd, gain = moves[i]
+            t = used | bit
+            r, x = rest[t], bh[t]
+            y = r * gain + da * x
+            if y > h:
+                h = y
+            y = q * x - r * cd + dq * bl[t]
+            if y > l:
+                l = y
+        bh[used], bl[used] = h, l
+    return free, rest, bh, bl
+
+
+def _walk(kernel, first, tol, rounding, limit=None):
+    """Walk every canonical order once per shared prefix (about e * I!
+    steps for distinct journals), skipping subtrees the value-to-go bound
+    rules out, and keep the totals that tie with the best.
+
+    An order is canonical when each class's members appear in index
+    order: journal i is free only once the previous member of its class
+    is used.  A canonical order is the lexicographically first of its
+    relabellings, whose totals are equal, so the relabellings the walk
+    skips would never have moved the best or its tie slack.
+
+    The bound.  A completion of a node at used set S with mass (H, L) and
+    value V totals rest[S] V + alpha H + beta L, where rest[S] is the
+    product of d over the journals not in S (see rest_table) and (alpha,
+    beta) depends on the completion alone.  Joining journal i first, with
+    T = S | {i} and (alpha', beta') the rest of the completion at T, gives
+
+        alpha = rest[T] (U A - C d) + (d - A) alpha',
+        beta  = -rest[T] C d + Q alpha' + (d - Q) beta',
+
+    and alpha = beta = O at the full set.  H, L >= 0, so no completion
+    beats rest[S] V + bh[S] H + bl[S] L, where one backward pass over the
+    used sets tables
+
+        bh[S] = max over free i of rest[T] (U A - C d) + (d - A) bh[T],
+        bl[S] = max over free i of Q bh[T] - rest[T] C d + (d - Q) bl[T].
+
+    bh[S] is the largest alpha, the exact value to go at mass (1, 0), and
+    bl[S] is at least the largest beta, as d - A, Q and d - Q are >= 0.
+    Taking the max over the free journals alone loses nothing: a
+    relabelling of a completion has the same (alpha, beta).
+
+    A subtree is cut only when its bound is below the floor: the best
+    total so far, minus its tie slack, minus `rounding` times
+    S = (H0 + L0) (|O| + max |U| + sum C), which bounds every value and
+    bound the walk meets (0 in exact mode, FLOAT_BOUND_ALLOWANCE in float
+    mode).  The floor only rises, so a cut total would never have entered
+    the argmax set or moved the best: ties survive, and the result is the
+    unpruned walk's.  The walk reaches the payoff-sorted order first, a
+    strong incumbent.  Every child tests the bound.  At a leaf rest = 1
+    and bh = bl = O, so the bound is the order's total.
+
+    Float rounding.  In float mode d = 1, and 1 - a, q and 1 - q lie in
+    [0, 1].  So an entry of bh or bl mixes its child's entries with
+    weights in [0, 1] that sum to at most 1, adds u a at most |u| a with
+    the rest of the weight, and subtracts c: by induction each entry is
+    at most M = max(|O|, max |U|) + sum C in magnitude, and a bound is at
+    most S, as the mass accepted so far and the mass left share H0 + L0.
+    An entry adds at most four roundings of terms below 2M to its child's
+    error, which those weights do not grow, so after at most ten levels a
+    table is within 80 * 2^-53 M < 1e-14 M of its real value, and a
+    computed bound is within 1e-13 S of the real bound of the node's
+    float state.  A computed total is as close to that state's real
+    completion.  Both errors sit far below the allowance 1e-9 S.
+
+    The limit.  In exact mode no total exceeds the root's bound
+    R = bh[0] H0 + bl[0] L0, so once the best equals R no later total
+    displaces it or its ties.  From then on, once the canonical ties
+    stand for more than `limit` orders (each for relabellings(cls) of
+    them), the walk stops and raises TieLimit with their count.
+    """
+    boxes, (h0, l0), (o, finish, uc) = kernel
+    n = len(boxes)
+    full = (1 << n) - 1
+    cls = classes(boxes)
+    free, rest, bh, bl = tables(boxes, cls, o)
     allowance = rounding and rounding * (h0 + l0) * (
         abs(o) + max(abs(u) for u, _ in uc) + sum(c for _, c in uc))
     top = [None, 0]     # best total so far and its tie slack
     floor = float("-inf")   # a subtree bounded below this cannot tie
     pruned = 0
     found: list = []    # (perm, total) pairs within the slack of the best
+    # the root's bound, which a best total reaches only when nothing beats it
+    root = None if limit is None else bh[0] * h0 + bl[0] * l0
+    per = relabellings(cls)
     perm: list = []
 
     def leaf(total):
@@ -259,6 +328,8 @@ def _walk(kernel, first, tol, rounding):
             found.append((tuple(perm), total))
         elif total >= best - slack:
             found.append((tuple(perm), total))
+            if best == root and len(found) * per > limit:
+                raise TieLimit(len(found) * per)
 
     def walk(used, h, l, v):
         nonlocal pruned

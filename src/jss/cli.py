@@ -40,6 +40,7 @@ from .solver import (
     SolverError,
     belief_grid,
     brute_force_optimal,
+    first_optimal,
     index_order_no_feedback,
     pairwise_swap_local_search,
     payoff_sweep,
@@ -288,7 +289,7 @@ def cmd_simulate(args) -> int:
     if args.order == "monotone":
         order = monotone_order(inst)
     elif args.order == "best":
-        order = brute_force_optimal(inst).best_order
+        order = SearchOrder(first_optimal(inst)[1])
     else:
         wanted = [w.strip() for w in args.order.split(",")]
         if sorted(wanted) != sorted(names):

@@ -8,13 +8,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _engine
-from ._engine import FLOAT_TIE_TOL
+from ._engine import ARGMAX_LIMIT, FLOAT_TIE_TOL
 from .conditions import _index_key, check_order_independence
 from .model import (
     Belief,
@@ -30,7 +29,6 @@ from .model import (
 
 BRUTE_FORCE_CAP = 10
 SUBSET_DP_CAP = 20                  # 2^20 rejection sets, each in five lists
-ARGMAX_LIMIT = math.factorial(9)    # most orders a solver lists as its argmax set
 GRID_LIMIT = 100_001                # most priors a sweep builds, one row each
 
 
@@ -77,12 +75,14 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     """Optimum over all I! orders by branch and bound (cap I <= 10).
 
     Walks the permutation tree so shared prefixes are evaluated once, and
-    cuts a subtree only when a payoff bound puts it strictly below the
+    cuts a subtree only when a value-to-go bound puts it strictly below the
     best so far, so every tied order is kept (see _engine._walk);
     details["pruned"] counts the cut subtrees.  Journals with equal
     kernel boxes are interchangeable: the walk visits one canonical order
     per relabelling of them and the argmax set is expanded afterwards, so
-    a set over ARGMAX_LIMIT orders raises SolverError before it is built.
+    a set over ARGMAX_LIMIT orders raises SolverError before it is built;
+    an exact walk raises as soon as the ties it holds, which no later
+    order can displace, pass that limit.
     threads > 1 splits the tree by the first member of each class across
     processes; results are merged exactly, so the answer does not depend
     on the thread count.  The pool loses to the serial walk, so the CLI
@@ -90,12 +90,7 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     benchmark stops calling it and the pool is removed.
     """
     n = inst.size
-    if n > BRUTE_FORCE_CAP:
-        raise SolverError(
-            f"brute force over {n}! orders exceeds the cap (I <= {BRUTE_FORCE_CAP}); "
-            "use subset_dp_optimal for order-independent instances or "
-            "pairwise_swap_local_search for a heuristic"
-        )
+    _check_cap(n)
     tol = _tie_tol(mode)
 
     # the first member of each class of interchangeable journals heads one
@@ -123,12 +118,35 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     )
 
 
+def first_optimal(inst: Instance, mode: str = "exact") -> tuple:
+    """(best value, argmax_set[0], size of the argmax set) by the walk of
+    brute_force_optimal, without listing the set: a canonical order is
+    the least of its relabellings, so the least canonical one leads the
+    set.  An exact walk still refuses a set over ARGMAX_LIMIT orders once
+    it knows one (see _engine._walk); a float walk answers."""
+    _check_cap(inst.size)
+    best, canonical, cls, _ = _search(inst, mode)
+    return best, canonical[0], len(canonical) * _engine.relabellings(cls)
+
+
+def _check_cap(n: int) -> None:
+    if n > BRUTE_FORCE_CAP:
+        raise SolverError(
+            f"brute force over {n}! orders exceeds the cap (I <= {BRUTE_FORCE_CAP}); "
+            "use subset_dp_optimal for order-independent instances or "
+            "pairwise_swap_local_search for a heuristic"
+        )
+
+
 def _search(inst: Instance, mode: str, first: Optional[int] = None):
     """(best value, canonical argmax perms, classes, pruned subtrees) over
     all orders, or over those that start with `first`."""
-    if mode == "exact":
+    if mode != "exact":
+        return _engine.best_orders_float(inst, first=first, tol=FLOAT_TIE_TOL)
+    try:
         return _engine.best_orders(inst, first=first)
-    return _engine.best_orders_float(inst, first=first, tol=FLOAT_TIE_TOL)
+    except _engine.TieLimit as stop:
+        raise _over_limit(f"at least {stop.args[0]}") from None
 
 
 def _tie_tol(mode: str):
@@ -146,18 +164,18 @@ def _prepare(inst: Instance, mode: str):
 def _check_listing(size: int) -> None:
     """SolverError, before anything is listed, for an argmax set too big to list."""
     if size > ARGMAX_LIMIT:
-        raise SolverError(
-            f"the argmax set has {size} orders, over the limit of {ARGMAX_LIMIT} "
-            "(9!) that a solver lists"
-        )
+        raise _over_limit(size)
+
+
+def _over_limit(size) -> SolverError:
+    return SolverError(f"the argmax set has {size} orders, over the limit of "
+                       f"{ARGMAX_LIMIT} (9!) that a solver lists")
 
 
 def _listed(canonical, classes) -> tuple:
     """Every order that relabels a canonical perm within its classes (see
     _engine.expand), in lexicographic order."""
-    # each canonical order stands for the product of its class sizes' factorials
-    _check_listing(len(canonical) * math.prod(map(math.factorial,
-                                                  Counter(classes).values())))
+    _check_listing(len(canonical) * _engine.relabellings(classes))
     return tuple(_engine.expand(canonical, classes))
 
 
@@ -233,10 +251,7 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
     # made on the way to t lacks the d of every journal outside t, which
     # rest[t] supplies.  A state reached with probability zero is worth
     # zero whatever follows, so all its moves tie.
-    rest = [1] * (full + 1)
-    for t in range(full - 1, -1, -1):
-        j = (~t & (t + 1)).bit_length() - 1
-        rest[t] = rest[t | 1 << j] * boxes[j][0]
+    rest = _engine.rest_table(boxes)
     h, l = mass[full]
     value = [None] * (full + 1)
     value[full] = o * (h + l)
@@ -418,9 +433,9 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
             ties = _engine.ties(values, tol)[1]
             best, tie = labels[ties[0]], len(ties) > 1
         else:
-            res = brute_force_optimal(inst.with_prior(mu), mode=mode)
-            values = (res.best_value,)
-            best = ">".join(names[i] for i in res.argmax_set[0])
-            tie = len(res.argmax_set) > 1
+            value, order, size = first_optimal(inst.with_prior(mu), mode=mode)
+            values = (value,)
+            best = ">".join(names[i] for i in order)
+            tie = size > 1
         rows.append({"mu": at, "values": values, "best": best, "tie": tie})
     return SweepResult(labels=labels, rows=tuple(rows), mode=mode)

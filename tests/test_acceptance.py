@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one printed line each.
+"""Acceptance gate: eleven end-to-end checks, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v` (the PASS/FAIL lines bypass
 pytest's capture so they always appear).  Each check pins the claim it
@@ -10,7 +10,11 @@ import time
 from fractions import Fraction as F
 
 from jss import (
+    Belief,
+    Instance,
+    Journal,
     brute_force_optimal,
+    evaluate,
     example_pair,
     prior_threshold_2box,
     run_suite,
@@ -118,3 +122,25 @@ def test_criterion_10_monte_carlo_consistency(capsys):
     _run(capsys, 10, "mc_consistency", 120.0,
          "million-episode simulations of value and survival stay within "
          "the Bonferroni z bound of exact evaluation")
+
+
+def test_criterion_11_near_ties_solve_exactly_in_time(capsys):
+    """Ten journals whose payoffs lie 1/256 apart and whose rates lie
+    1/1000 apart, without costs: every order is worth nearly the same, so
+    a loose bound visits most of the 10! orders."""
+    budget = 2.0
+    inst = Instance(tuple(Journal(f"J{k}", 4 - F(k, 256), F(1, 2) - F(k, 1000),
+                                  F(1, 4) + F(k, 1000)) for k in range(10)),
+                    Belief(F(1, 2)))
+    t0 = time.perf_counter()
+    res = brute_force_optimal(inst)
+    elapsed = time.perf_counter() - t0
+    want = ((0, 1, 2, 4, 6, 8, 9, 7, 5, 3),)
+    ok = (res.argmax_set == want
+          and res.best_value == evaluate(inst, res.best_order).total
+          and elapsed < budget)
+    _announce(capsys, 11, ok, f"ten near-tied journals solved exactly "
+                      f"({elapsed:.2f}s < {budget:.0f}s)")
+    assert res.argmax_set == want
+    assert res.best_value == evaluate(inst, res.best_order).total
+    assert elapsed < budget

@@ -181,6 +181,40 @@ def test_argmax_limit_exits_2_fast(tmp_path, capsys):
     assert "over the limit of 362880 (9!)" in capsys.readouterr().err
 
 
+def test_argmax_limit_of_distinct_journals_exits_2_fast(tmp_path, capsys):
+    """All 10! orders tie (no journal ever accepts, and nothing costs), yet
+    no two journals are interchangeable: the walk stops once the ties it
+    holds pass the limit, and never lists all of them."""
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps({"journals": [{"u": "1", "a": "0", "q": f"{k}/20"}
+                                             for k in range(1, 11)], "prior_h": "1/2"}))
+    t0 = time.perf_counter()
+    assert main(["solve", "-i", str(path), "--json"]) == 2
+    assert time.perf_counter() - t0 < 8
+    assert capsys.readouterr().err == (
+        "error: the argmax set has at least 362881 orders, over the limit of 362880 "
+        "(9!) that a solver lists\n")
+
+
+@pytest.mark.parametrize("argv, sep", [
+    (["sweep", "--best-only", "--grid", "0:1:3"], ">"),
+    (["simulate", "--order", "best", "--episodes", "1000"], " > "),
+])
+def test_one_best_order_of_ten_identical_journals(argv, sep, tmp_path, capsys):
+    """Both commands read one order, so the 10! orders that tie are never listed."""
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps({"journals": [{"u": "2", "a": "1/3", "q": "1/5"}] * 10,
+                                "prior_h": "1/2"}))
+    assert main([argv[0], "-i", str(path), *argv[1:]]) == 0
+    order = sep.join(f"J{k}" for k in range(1, 11))
+    lines = capsys.readouterr().out.splitlines()
+    if argv[0] == "sweep":
+        assert [row.split(",")[::2] for row in lines[1:]] == [
+            ["0", order], ["1/2", order], ["1", order]]
+    else:
+        assert lines[0] == f"order: {order}"
+
+
 @pytest.mark.parametrize("algorithm", ["dp", "index"])
 def test_argmax_limit_exits_2_fast_for_dp_and_index(algorithm, tmp_path, capsys):
     import time

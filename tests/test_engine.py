@@ -11,7 +11,8 @@ class walk, which visits one canonical order per relabelling and expands
 the argmax set afterwards, against a full walk over every order.  The
 same reference pins the pruned walk: every `first=` slice, in both
 modes, must give the unpruned walk's best and canonical argmax perms,
-exact ties and float near ties included.
+exact ties and float near ties included.  The bound's tables are pinned
+on their own against the best completion of every canonical prefix.
 """
 import itertools
 from fractions import Fraction as F
@@ -295,3 +296,68 @@ def test_bound_cuts_an_order_at_its_last_step():
 
     for mode in ("exact", "float"):
         assert brute_force_optimal(example_pair("9/10"), mode=mode).details["pruned"] == 1
+
+
+def _best_completion(boxes, o, used, h, l, v=0):
+    """The best total over every order of the journals not in `used`,
+    classes ignored, from mass (h, l) and value v."""
+    if used == (1 << len(boxes)) - 1:
+        return v + o * (h + l)
+    return max(_best_completion(boxes, o, used | 1 << i, *_engine.step(boxes[i], h, l, v))
+               for i in range(len(boxes)) if not used >> i & 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=st.one_of(instances, duplicated().filter(lambda inst: inst.size <= 6)))
+@example(inst=_journals([(3, 1, 0, 0), (2, 1, F(1, 2), 0), (1, F(1, 2), F(1, 3), F(1, 4))],
+                        prior=1))                                   # a = 1: zero mass
+@example(inst=_journals([(3, 1, F(1, 2), 0), (2, F(1, 4), 0, F(1, 2)), (1, 1, 0, F(1, 3))],
+                        prior=0, outside=-1))
+@example(inst=_copies(6, 2, F(1, 3), F(1, 5), prior=0, outside=F(1, 2)))
+@example(inst=_copies(6, 3, 1, 0, c=F(1, 2), prior=1))
+def test_tables_bound_every_completion(inst):
+    """At every node of a canonical prefix the bound is at least the best
+    completion (the value so far enters both as rest * v, so it is left
+    at 0), and bh is the value to go at mass (1, 0)."""
+    js = inst.journals
+    scale = float(abs(inst.outside_option) + max(abs(j.u) for j in js) + sum(j.c for j in js))
+    for prepare, slack in ((_engine.prepare, 0), (_engine.prepare_float, 1e-12 * scale)):
+        boxes, (h0, l0), (o, _, _) = prepare(inst)
+        free, _, bh, bl = _engine.tables(boxes, _engine.classes(boxes), o)
+        reached = set()
+
+        def check(used, h, l):
+            reached.add(used)
+            assert bh[used] * h + bl[used] * l >= _best_completion(boxes, o, used, h, l) - slack
+            for i in free[used]:
+                check(used | 1 << i, *_engine.step(boxes[i], h, l, 0)[:2])
+
+        check(0, h0, l0)
+        for used in reached:
+            best = _best_completion(boxes, o, used, 1, 0)
+            assert abs(bh[used] - best) <= slack, (used, bh[used], best)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=duplicated(), limit=st.integers(1, 40))
+def test_a_walk_stops_only_over_its_limit(inst, limit):
+    best, canonical, cls, pruned = _engine.best_orders(inst)
+    size = len(canonical) * _engine.relabellings(cls)
+    try:
+        got = _engine._walk(_engine.prepare(inst), None, 0, 0, limit)
+    except _engine.TieLimit as stop:
+        assert limit < stop.args[0] <= size
+    else:
+        assert got == (best, canonical, cls, pruned)
+
+
+def test_a_walk_at_the_root_bound_stops_past_its_limit():
+    """All 5! orders are worth 0 and no journal is interchangeable: every
+    leaf meets the root's bound, so the walk stops at the first tie past
+    the limit."""
+    inst = _journals([(1, 0, F(k, 10), 0) for k in range(1, 6)])
+    kernel = _engine.prepare(inst)
+    assert len(_engine._walk(kernel, None, 0, 0, 120)[1]) == 120
+    with pytest.raises(_engine.TieLimit) as stop:
+        _engine._walk(kernel, None, 0, 0, 50)
+    assert stop.value.args == (51,)

@@ -29,7 +29,7 @@ from jss import (
 from jss import _engine
 from jss._engine import FLOAT_TIE_TOL
 from jss.catalog import BY_NAME
-from jss.solver import GRID_LIMIT
+from jss.solver import GRID_LIMIT, first_optimal
 from jss.generators import sample_order_independent
 
 
@@ -162,6 +162,18 @@ def test_argmax_set_is_sorted_distinct_perms(mode, pair):
 def test_argmax_set_over_the_limit_fails_fast():
     with pytest.raises(SolverError, match="362880"):
         brute_force_optimal(_identical(10))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_first_optimal_is_the_head_and_size_of_the_argmax_set(mode, pair):
+    for inst in (pair.with_prior(F(17, 29)), _classes(), _identical(6)):
+        res = brute_force_optimal(inst, mode=mode)
+        assert first_optimal(inst, mode) == (res.best_value, res.argmax_set[0],
+                                             len(res.argmax_set))
+    # it never lists the set, so ten identical journals answer
+    assert first_optimal(_identical(10), mode)[1:] == (tuple(range(10)), 3628800)
+    with pytest.raises(SolverError, match="cap"):
+        first_optimal(_identical(11), mode)
 
 
 def test_brute_force_float_mode(pair):
