@@ -38,10 +38,8 @@ from math import factorial, lcm, prod
 # tie with it; see tie_slack.
 FLOAT_TIE_TOL = 1e-12
 
-# A float walk prunes a subtree only when its bound falls below the tie
-# floor by more than this share of the largest magnitude a value or a
-# bound can reach (see _walk); the rounding of ten float steps is under
-# 1e-12 of it.
+# A float walk cuts a subtree only when its bound falls below the tie floor
+# by more than this share of S, the most a value or a bound reaches (_walk).
 FLOAT_BOUND_ALLOWANCE = 1e-9
 
 ARGMAX_LIMIT = factorial(9)     # most orders a solver lists as its argmax set
@@ -51,34 +49,35 @@ ARGMAX_LIMIT = factorial(9)     # most orders a solver lists as its argmax set
 
 def prepare(inst):
     """Exact kernel inputs (boxes, prior mass, outside) for the instance's
-    sorted journals.  outside is (O, finish, uc): finish turns a complete
-    order's total V + O (H + L) into its Fraction value, and uc holds each
-    journal's payoff and cost (U, C), on the scale E of O."""
+    sorted journals.  outside is (O, finish, allowance): finish turns a
+    complete order's total V + O (H + L) into its Fraction value, and the
+    bound's rounding allowance is 0 (see _walk)."""
     js = inst.journals
     outside = inst.outside_option
     e = lcm(outside.denominator, *(x.denominator for j in js for x in (j.u, j.c)))
     prior = Fraction(inst.prior.mu_h)
     scale = e * prior.denominator
-    boxes, uc = [], []
+    boxes = []
     for j in js:
         d = lcm(j.a.denominator, j.q.denominator)
         A, Q, U, C = int(j.a * d), int(j.q * d), int(j.u * e), int(j.c * e)
         boxes.append((d, d - A, Q, d - Q, U * A, C * d))
-        uc.append((U, C))
         scale *= d
     mass = (prior.numerator, prior.denominator - prior.numerator)
-    return boxes, mass, (int(outside * e), partial(Fraction, denominator=scale), uc)
+    return boxes, mass, (int(outside * e), partial(Fraction, denominator=scale), 0)
 
 
 def prepare_float(inst):
-    """Float twin of prepare(): d = 1 and float coefficients."""
-    boxes, uc = [], []
+    """Float twin of prepare(): d = 1, float coefficients, and the bound's
+    allowance FLOAT_BOUND_ALLOWANCE (|O| + max |u| + sum c) (see _walk)."""
+    boxes = []
     for j in inst.journals:
         u, a, q, c = float(j.u), float(j.a), float(j.q), float(j.c)
         boxes.append((1, 1 - a, q, 1 - q, u * a, c))
-        uc.append((u, c))
     mu = float(inst.prior.mu_h)
-    return boxes, (mu, 1 - mu), (float(inst.outside_option), float, uc)
+    o = float(inst.outside_option)
+    size = abs(o) + max(abs(float(j.u)) for j in inst.journals) + sum(box[5] for box in boxes)
+    return boxes, (mu, 1 - mu), (o, float, FLOAT_BOUND_ALLOWANCE * size)
 
 
 def step(box, h, l, v):
@@ -114,17 +113,17 @@ def order_line(kernel, perm):
             order_value(boxes, perm, (0, h0 + l0), outside))
 
 
-def tie_slack(best, tol):
+def tie_slack(best):
     """How far below `best` a value may fall and still tie with it:
-    tol relative to max(1, |best|), and 0 (exact equality) when tol is 0."""
-    return tol * max(1.0, abs(best)) if tol else 0
+    FLOAT_TIE_TOL relative to max(1, |best|) for a float, else 0."""
+    return FLOAT_TIE_TOL * max(1.0, abs(best)) if isinstance(best, float) else 0
 
 
-def ties(values, tol):
+def ties(values):
     """The best of `values` and the indices of the values that tie with
     it (within its tie_slack), in increasing order."""
     best = max(values)
-    floor = best - tie_slack(best, tol)
+    floor = best - tie_slack(best)
     return best, [k for k, v in enumerate(values) if v >= floor]
 
 
@@ -138,17 +137,17 @@ def best_orders(inst, first: int | None = None):
     of a class.  Raises TieLimit once the argmax set is known to hold more
     than ARGMAX_LIMIT orders.
     """
-    return _walk(prepare(inst), first, 0, 0, ARGMAX_LIMIT)
+    return _walk(prepare(inst), first)
 
 
-def best_orders_float(inst, first: int | None = None, tol: float = FLOAT_TIE_TOL):
-    """Float twin of best_orders; ties are values within tie_slack of the best."""
-    return _walk(prepare_float(inst), first, tol, FLOAT_BOUND_ALLOWANCE)
+def best_orders_float(inst, first: int | None = None):
+    """Float twin of best_orders; ties and the stop as _walk sets them."""
+    return _walk(prepare_float(inst), first)
 
 
 class TieLimit(Exception):
-    """An exact walk stopped: the argmax set has at least args[0] orders,
-    more than the walk's limit."""
+    """A walk stopped: the argmax set has at least args[0] orders, more
+    than ARGMAX_LIMIT."""
 
 
 def rest_table(boxes):
@@ -241,7 +240,7 @@ def tables(boxes, cls, o):
     return free, rest, bh, bl
 
 
-def _walk(kernel, first, tol, rounding, limit=None):
+def _walk(kernel, first):
     """Walk every canonical order once per shared prefix (about e * I!
     steps for distinct journals), skipping subtrees the value-to-go bound
     rules out, and keep the totals that tie with the best.
@@ -274,14 +273,15 @@ def _walk(kernel, first, tol, rounding, limit=None):
     relabelling of a completion has the same (alpha, beta).
 
     A subtree is cut only when its bound is below the floor: the best
-    total so far, minus its tie slack, minus `rounding` times
-    S = (H0 + L0) (|O| + max |U| + sum C), which bounds every value and
-    bound the walk meets (0 in exact mode, FLOAT_BOUND_ALLOWANCE in float
-    mode).  The floor only rises, so a cut total would never have entered
-    the argmax set or moved the best: ties survive, and the result is the
-    unpruned walk's.  The walk reaches the payoff-sorted order first, a
-    strong incumbent.  Every child tests the bound.  At a leaf rest = 1
-    and bh = bl = O, so the bound is the order's total.
+    total so far, minus its tie slack, minus the kernel's allowance, 0 in
+    exact mode and FLOAT_BOUND_ALLOWANCE times S = (H0 + L0) (|O| +
+    max |U| + sum C) in float mode, where S bounds every value and bound
+    the walk meets (H0 + L0 = 1 there; see order_line).  The floor only
+    rises, so a cut total would never have entered the argmax set or
+    moved the best: ties survive, and the result is the unpruned walk's.
+    The walk reaches the payoff-sorted order first, a strong incumbent.
+    Every child tests the bound.  At a leaf rest = 1 and bh = bl = O, so
+    the bound is the order's total.
 
     Float rounding.  In float mode d = 1, and 1 - a, q and 1 - q lie in
     [0, 1].  So an entry of bh or bl mixes its child's entries with
@@ -296,25 +296,28 @@ def _walk(kernel, first, tol, rounding, limit=None):
     float state.  A computed total is as close to that state's real
     completion.  Both errors sit far below the allowance 1e-9 S.
 
-    The limit.  In exact mode no total exceeds the root's bound
-    R = bh[0] H0 + bl[0] L0, so once the best equals R no later total
-    displaces it or its ties.  From then on, once the canonical ties
-    stand for more than `limit` orders (each for relabellings(cls) of
-    them), the walk stops and raises TieLimit with their count.
+    The limit.  No real total exceeds the real root bound, so no computed
+    total exceeds the computed R = bh[0] H0 + bl[0] L0 by more than a
+    margin: 0 in exact mode, and in float mode 4e-13 S, twice the sum of
+    the two 1e-13 S errors above, which also covers rounding R + margin
+    and best + slack.  So once best + slack reaches R + margin (best == R in
+    exact mode), no later total displaces the best or evicts a tie.  From
+    then on, once the canonical ties stand for more than ARGMAX_LIMIT
+    orders (each for relabellings(cls) of them), the walk raises TieLimit
+    with their count, a lower bound on the set's size.  A float walk
+    whose slack stays below R + margin - best, as where S is large
+    against |best|, never stops.
     """
-    boxes, (h0, l0), (o, finish, uc) = kernel
-    n = len(boxes)
-    full = (1 << n) - 1
+    boxes, (h0, l0), (o, finish, allowance) = kernel
+    full = (1 << len(boxes)) - 1
     cls = classes(boxes)
     free, rest, bh, bl = tables(boxes, cls, o)
-    allowance = rounding and rounding * (h0 + l0) * (
-        abs(o) + max(abs(u) for u, _ in uc) + sum(c for _, c in uc))
     top = [None, 0]     # best total so far and its tie slack
     floor = float("-inf")   # a subtree bounded below this cannot tie
     pruned = 0
     found: list = []    # (perm, total) pairs within the slack of the best
-    # the root's bound, which a best total reaches only when nothing beats it
-    root = None if limit is None else bh[0] * h0 + bl[0] * l0
+    margin = allowance and allowance * (4e-13 / FLOAT_BOUND_ALLOWANCE)  # 4e-13 S
+    ceiling = bh[0] * h0 + bl[0] * l0 + margin  # no total passes it; see The limit
     per = relabellings(cls)
     perm: list = []
 
@@ -322,13 +325,13 @@ def _walk(kernel, first, tol, rounding, limit=None):
         nonlocal floor
         best, slack = top
         if best is None or total > best + slack:
-            top[:] = total, tie_slack(total, tol)
+            top[:] = total, tie_slack(total)
             floor = total - top[1] - allowance
             found[:] = [(p, t) for p, t in found if t >= total - top[1]]
             found.append((tuple(perm), total))
         elif total >= best - slack:
             found.append((tuple(perm), total))
-            if best == root and len(found) * per > limit:
+            if len(found) * per > ARGMAX_LIMIT and best + slack >= ceiling:
                 raise TieLimit(len(found) * per)
 
     def walk(used, h, l, v):

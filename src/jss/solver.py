@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _engine
-from ._engine import ARGMAX_LIMIT, FLOAT_TIE_TOL
+from ._engine import ARGMAX_LIMIT
 from .conditions import _index_key, check_order_independence
 from .model import (
     Belief,
@@ -81,8 +81,8 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     kernel boxes are interchangeable: the walk visits one canonical order
     per relabelling of them and the argmax set is expanded afterwards, so
     a set over ARGMAX_LIMIT orders raises SolverError before it is built;
-    an exact walk raises as soon as the ties it holds, which no later
-    order can displace, pass that limit.
+    a walk raises as soon as the ties it holds, which no later order can
+    displace, pass that limit (see _engine._walk).
     threads > 1 splits the tree by the first member of each class across
     processes; results are merged exactly, so the answer does not depend
     on the thread count.  The pool loses to the serial walk, so the CLI
@@ -91,7 +91,6 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
     """
     n = inst.size
     _check_cap(n)
-    tol = _tie_tol(mode)
 
     # the first member of each class of interchangeable journals heads one
     # slice of the tree for the parallel driver
@@ -101,7 +100,7 @@ def brute_force_optimal(inst: Instance, mode: str = "exact",
         with ProcessPoolExecutor(max_workers=min(threads, len(firsts))) as pool:
             results = list(pool.map(_search, [inst] * len(firsts), [mode] * len(firsts),
                                     firsts))
-        best, tied = _engine.ties([r[0] for r in results], tol)
+        best, tied = _engine.ties([r[0] for r in results])
         canonical = sorted(p for k in tied for p in results[k][1])
         cls = results[0][2]
         pruned = sum(r[3] for r in results)
@@ -122,8 +121,8 @@ def first_optimal(inst: Instance, mode: str = "exact") -> tuple:
     """(best value, argmax_set[0], size of the argmax set) by the walk of
     brute_force_optimal, without listing the set: a canonical order is
     the least of its relabellings, so the least canonical one leads the
-    set.  An exact walk still refuses a set over ARGMAX_LIMIT orders once
-    it knows one (see _engine._walk); a float walk answers."""
+    set.  It refuses a set over ARGMAX_LIMIT orders once the walk knows
+    one, a certified float walk like an exact one (see _engine._walk)."""
     _check_cap(inst.size)
     best, canonical, cls, _ = _search(inst, mode)
     return best, canonical[0], len(canonical) * _engine.relabellings(cls)
@@ -141,24 +140,23 @@ def _check_cap(n: int) -> None:
 def _search(inst: Instance, mode: str, first: Optional[int] = None):
     """(best value, canonical argmax perms, classes, pruned subtrees) over
     all orders, or over those that start with `first`."""
-    if mode != "exact":
-        return _engine.best_orders_float(inst, first=first, tol=FLOAT_TIE_TOL)
+    walker = _engine.best_orders if _exact(mode) else _engine.best_orders_float
     try:
-        return _engine.best_orders(inst, first=first)
+        return walker(inst, first=first)
     except _engine.TieLimit as stop:
         raise _over_limit(f"at least {stop.args[0]}") from None
 
 
-def _tie_tol(mode: str):
-    """Tie tolerance of a mode: exact values tie only when equal."""
+def _exact(mode: str) -> bool:
+    """Whether a mode is exact; SolverError for a mode that is neither."""
     if mode not in ("exact", "float"):
         raise SolverError(f"mode must be 'exact' or 'float', got {mode!r}")
-    return 0 if mode == "exact" else FLOAT_TIE_TOL
+    return mode == "exact"
 
 
 def _prepare(inst: Instance, mode: str):
-    """Kernel inputs of a mode (see _engine.prepare); _tie_tol checks the mode."""
-    return (_engine.prepare_float if _tie_tol(mode) else _engine.prepare)(inst)
+    """Kernel inputs of a mode (see _engine.prepare)."""
+    return (_engine.prepare if _exact(mode) else _engine.prepare_float)(inst)
 
 
 def _check_listing(size: int) -> None:
@@ -234,7 +232,6 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
             "subset DP needs order-independent belief updates; pair "
             f"{w['pair']} has a_i*q_j = {w['a_i*q_j']} != a_j*q_i = {w['a_j*q_i']}"
         )
-    tol = _tie_tol(mode)
     full = (1 << n) - 1
     boxes, prior, (o, finish, _) = _prepare(inst, mode)
 
@@ -263,7 +260,7 @@ def subset_dp_optimal(inst: Instance, mode: str = "exact") -> SolveResult:
         moves = [i for i in range(n) if not s >> i & 1]
         value[s], tied = _engine.ties(
             [_engine.step(boxes[i], h, l, 0)[2] * rest[s | 1 << i] + value[s | 1 << i]
-             for i in moves], tol)
+             for i in moves])
         best_moves[s] = tuple(moves[k] for k in tied)
         count[s] = sum(count[s | 1 << i] for i in best_moves[s])
     _check_listing(count[0])
@@ -295,7 +292,6 @@ def pairwise_swap_local_search(inst: Instance, mode: str = "exact") -> SolveResu
     the mode's tie slack, so float mode leaves exact ties alone.  The
     result is a local optimum of the swap neighbourhood, not certified
     global; details.swaps counts accepted swaps."""
-    tol = _tie_tol(mode)
     boxes, prior, outside = _prepare(inst, mode)
     order = list(monotone_order(inst).perm)
     current = _engine.order_value(boxes, order, prior, outside)
@@ -308,7 +304,7 @@ def pairwise_swap_local_search(inst: Instance, mode: str = "exact") -> SolveResu
             cand = order.copy()
             cand[t], cand[t + 1] = cand[t + 1], cand[t]
             v = _engine.order_value(boxes, cand, prior, outside)
-            if v > current + _engine.tie_slack(current, tol):
+            if v > current + _engine.tie_slack(current):
                 order, current = cand, v
                 swaps += 1
                 improved = True
@@ -414,7 +410,7 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
     best_only is set; otherwise only the best order and value are
     reported per grid point.
     """
-    tol = _tie_tol(mode)
+    exact = _exact(mode)
     n = inst.size
     per_order = not best_only and n <= 4
     names = inst.journal_names()
@@ -426,11 +422,11 @@ def payoff_sweep(inst: Instance, grid: Sequence, mode: str = "exact",
     rows = []
     for mu in grid:
         mu = Belief(mu).mu_h    # parsed, and checked to lie in [0, 1]
-        at = mu if mode == "exact" else float(mu)
+        at = mu if exact else float(mu)
         if per_order:
             values = tuple(at * vh + (1 - at) * vl for vh, vl in lines)
             # the perms run in lexicographic order, so the first tie is the least
-            ties = _engine.ties(values, tol)[1]
+            ties = _engine.ties(values)[1]
             best, tie = labels[ties[0]], len(ties) > 1
         else:
             value, order, size = first_optimal(inst.with_prior(mu), mode=mode)

@@ -16,7 +16,7 @@ on their own against the best completion of every canonical prefix.
 """
 import itertools
 from fractions import Fraction as F
-from functools import partial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +48,10 @@ instances = st.builds(
     unit,
     st.one_of(st.just(F(0)), _fractions(-3, 3)),
 )
+
+
+MODES = ((_engine.prepare, _engine.best_orders),
+         (_engine.prepare_float, _engine.best_orders_float))
 
 
 def _expanded(result):
@@ -117,7 +121,7 @@ def test_walkers_return_the_maximisers_of_evaluate(inst):
 
 
 
-def _full_walk(kernel, tol, first=None):
+def _full_walk(kernel, first=None):
     """Reference walk over every order (or every order that starts with
     `first`), without the class restriction or the bound."""
     boxes, (h0, l0), (o, finish, _) = kernel
@@ -131,7 +135,7 @@ def _full_walk(kernel, tol, first=None):
     def leaf(total):
         best, slack = top
         if best is None or total > best + slack:
-            top[:] = total, _engine.tie_slack(total, tol)
+            top[:] = total, _engine.tie_slack(total)
             found[:] = [(p, t) for p, t in found if t >= total - top[1]]
             found.append((tuple(perm), total))
         elif total >= best - slack:
@@ -196,10 +200,8 @@ def _copies(n, u, a, q, c=0, prior=F(1, 2), outside=0, us=None):
 @example(inst=Instance(tuple(Journal(f"J{k}", 2, F(1, 3) + TINY * (k % 2), F(1, 5))
                              for k in range(6)), Belief(F(2, 3))))
 def test_class_walk_matches_the_full_walk(inst):
-    for prepare, walker, tol in ((_engine.prepare, _engine.best_orders, 0),
-                                 (_engine.prepare_float, _engine.best_orders_float,
-                                  _engine.FLOAT_TIE_TOL)):
-        assert _expanded(walker(inst)) == _full_walk(prepare(inst), tol)
+    for prepare, walker in MODES:
+        assert _expanded(walker(inst)) == _full_walk(prepare(inst))
 
 
 def test_classes_follow_equal_boxes():
@@ -221,12 +223,6 @@ def _canonical(perm, cls):
         last[cls[i]] = i
     return True
 
-
-# exact, float, and float ties by == (where the bound's rounding allowance,
-# not the tie slack, keeps last-bit near ties)
-MODES = ((_engine.prepare, _engine.best_orders, 0),
-         (_engine.prepare_float, _engine.best_orders_float, _engine.FLOAT_TIE_TOL),
-         (_engine.prepare_float, partial(_engine.best_orders_float, tol=0), 0))
 
 pruning = st.builds(
     lambda js, prior, outside: Instance(
@@ -258,11 +254,11 @@ def _journals(rows, prior=F(1, 2), outside=0):
 @example(inst=_journals([(3 - k, F(1, 2), F(1, 3), F(1, 4)) for k in range(5)], prior=1))
 @example(inst=_journals([(0, 0, 0, F(k, 10)) for k in (1, 2, 3, 7, 9)]))  # float ulp tie
 def test_pruned_walk_matches_the_full_walk(inst):
-    for prepare, walker, tol in MODES:
+    for prepare, walker in MODES:
         kernel = prepare(inst)
         cls = _engine.classes(kernel[0])
         for first in (None, *sorted(set(cls))):
-            best, perms = _full_walk(kernel, tol, first)
+            best, perms = _full_walk(kernel, first)
             canonical = [p for p in perms if _canonical(p, cls)]
             assert walker(inst, first=first)[:3] == (best, canonical, cls)
 
@@ -341,23 +337,33 @@ def test_tables_bound_every_completion(inst):
 @settings(max_examples=60, deadline=None)
 @given(inst=duplicated(), limit=st.integers(1, 40))
 def test_a_walk_stops_only_over_its_limit(inst, limit):
-    best, canonical, cls, pruned = _engine.best_orders(inst)
-    size = len(canonical) * _engine.relabellings(cls)
-    try:
-        got = _engine._walk(_engine.prepare(inst), None, 0, 0, limit)
-    except _engine.TieLimit as stop:
-        assert limit < stop.args[0] <= size
-    else:
-        assert got == (best, canonical, cls, pruned)
+    for _, walker in MODES:
+        want = walker(inst)
+        _, canonical, cls, _ = want
+        size = len(canonical) * _engine.relabellings(cls)
+        with patch.object(_engine, "ARGMAX_LIMIT", limit):
+            try:
+                got = walker(inst)
+            except _engine.TieLimit as stop:
+                assert limit < stop.args[0] <= size
+            else:
+                assert got == want
 
 
 def test_a_walk_at_the_root_bound_stops_past_its_limit():
     """All 5! orders are worth 0 and no journal is interchangeable: every
     leaf meets the root's bound, so the walk stops at the first tie past
-    the limit."""
-    inst = _journals([(1, 0, F(k, 10), 0) for k in range(1, 6)])
-    kernel = _engine.prepare(inst)
-    assert len(_engine._walk(kernel, None, 0, 0, 120)[1]) == 120
-    with pytest.raises(_engine.TieLimit) as stop:
-        _engine._walk(kernel, None, 0, 0, 50)
-    assert stop.value.args == (51,)
+    the limit.  A payoff of 10^4, never paid as a = 0, leaves every value
+    at 0 but widens the float margin past the tie slack, so the float
+    walk cannot certify the stop and lists every tie."""
+    inst, wide = (_journals([(u, 0, F(k, 10), 0) for k in range(1, 6)]) for u in (1, 10 ** 4))
+    for _, walker in MODES:
+        assert len(walker(inst)[1]) == len(walker(wide)[1]) == 120
+    with patch.object(_engine, "ARGMAX_LIMIT", 50):
+        for _, walker in MODES:
+            with pytest.raises(_engine.TieLimit) as stop:
+                walker(inst)
+            assert stop.value.args == (51,)
+        with pytest.raises(_engine.TieLimit):
+            _engine.best_orders(wide)
+        assert len(_engine.best_orders_float(wide)[1]) == 120

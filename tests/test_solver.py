@@ -553,6 +553,9 @@ def test_grid_instances_agree_across_routes(size, step, expected):
     every multiset, 4455 instances.  Three: every 40th of the 27 720
     multisets, 2079 instances.  prior_threshold_2box runs only on pairs,
     and the subset DP only where every pair of journals commutes.
+    In both modes first_optimal must give the head and size of brute
+    force's set, and every solver's best_value must be a Fraction in exact
+    mode and a float in float mode.
 
     The index rule is checked only for an optimal value and an order in
     brute force's argmax set.  Its set lists only the orders that permute
@@ -579,7 +582,11 @@ def test_grid_instances_agree_across_routes(size, step, expected):
             assert exact.best_value == best, case
             assert exact.argmax_set == tuple(p for p, v in zip(perms, values)
                                              if v == best), case
-            assert brute_force_optimal(inst, mode="float").argmax_set == exact.argmax_set, case
+            floats = brute_force_optimal(inst, mode="float")
+            assert floats.argmax_set == exact.argmax_set, case
+            for mode, res in (("exact", exact), ("float", floats)):
+                assert first_optimal(inst, mode) == (
+                    res.best_value, res.argmax_set[0], len(res.argmax_set)), case
 
             kernel = _engine.prepare(inst)
             boxes, prior, outside = kernel
@@ -588,15 +595,24 @@ def test_grid_instances_agree_across_routes(size, step, expected):
                 assert _engine.order_line(kernel, p) == line, case
             assert pairwise_swap_local_search(inst).best_value <= best, case
 
+            # the tie rule reads the mode off the number type (see _engine.tie_slack)
+            assert isinstance(exact.best_value, F), case
+            assert isinstance(floats.best_value, float), case
+            solvers = [pairwise_swap_local_search]
             if all(a.a * b.q == b.a * a.q
                    for a, b in itertools.combinations(inst.journals, 2)):
                 dp = subset_dp_optimal(inst)
                 assert (dp.best_value, dp.argmax_set) == (best, exact.argmax_set), case
+                solvers.append(subset_dp_optimal)
                 counts["commuting"] += 1
             if all(j.q == 0 for j in inst.journals):
                 ranked = index_order_no_feedback(inst)
                 assert ranked.best_value == best, case
                 assert ranked.best_order.perm in exact.argmax_set, case
+                solvers.append(index_order_no_feedback)
                 counts["no_feedback"] += 1
+            for solve in solvers:
+                assert isinstance(solve(inst).best_value, F), case
+                assert isinstance(solve(inst, mode="float").best_value, float), case
             counts["instances"] += 1
     assert counts == expected
